@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .errors import BracketError, DomainError
@@ -214,6 +215,13 @@ def poly_roots(n: int) -> list[float]:
     bracketed by that level's roots.
     """
     _check_order(n, minimum=1)
+    return list(_roots(n))
+
+
+@lru_cache(maxsize=MAX_DERIV_ORDER)
+def _roots(n: int) -> tuple[float, ...]:
+    # callers validate n first: 3.0 and True hash like 3 and 1 and
+    # would otherwise hit the cache; the tuple keeps entries immutable
     roots = [0.0, 1.0]
     for m in range(2, n + 1):
         row = eulerian_row(m - 1)
@@ -224,14 +232,14 @@ def poly_roots(n: int) -> list[float]:
             for i in range(len(roots) - 1)
         ]
         roots = [0.0] + inner + [1.0]
-    return roots
+    return tuple(roots)
 
 
 def characteristic_level(n: int) -> float:
     """Least positive root of P_{n+1}: the fraction of the saturation
     level at which the n-th derivative of the curve first vanishes.
     0.5 exactly for n = 2, then 0.21132..., 0.09175..., 0.04131..., and
-    decreasing.  Requires ``n >= 2``.
+    decreasing.  Requires ``n >= 2``.  Computed once per order.
     """
     _check_order(n, minimum=2)
-    return poly_roots(n)[1]
+    return _roots(n)[1]

@@ -23,6 +23,7 @@ violate it and hiding that would be worse than warning.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -63,16 +64,21 @@ class PolyFit:
     domain: tuple[int, int]
 
     def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coefficients, x)
 
     def derivative_coeffs(self, order: int) -> tuple[float, ...]:
         cs = list(self.coefficients)
         for _ in range(order):
             cs = [i * c for i, c in enumerate(cs)][1:]
         return tuple(cs)
+
+
+def _horner(cs, x):
+    # x may be a float or an array; each step rounds as in scalar code
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
 def _trunc_significant(x: float, digits: int = 3) -> float:
@@ -209,16 +215,10 @@ def _argmax_second_derivative(fit: PolyFit) -> float:
         vertex = -d2[1] / (2.0 * d2[2])
         return min(max(vertex, float(lo)), float(hi))
 
-    def eval_poly_coeffs(cs, x):
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
     d3 = fit.derivative_coeffs(3)
     xs = np.linspace(lo, hi, 2001)
-    vals = [eval_poly_coeffs(d2, x) for x in xs]
-    top, bottom = max(vals), min(vals)
+    vals = _horner(d2, xs)
+    top, bottom = float(vals.max()), float(vals.min())
     if top - bottom <= 1e-9 * max(abs(top), abs(bottom), 1e-300):
         raise EstimationError(
             "second derivative of the fit is effectively constant; "
@@ -227,11 +227,11 @@ def _argmax_second_derivative(fit: PolyFit) -> float:
     i = int(np.argmax(vals))
     if 0 < i < len(xs) - 1:
         a, b = xs[i - 1], xs[i + 1]
-        fa, fb = eval_poly_coeffs(d3, a), eval_poly_coeffs(d3, b)
+        fa, fb = _horner(d3, a), _horner(d3, b)
         if fa > 0 > fb:
             for _ in range(80):
                 mid = 0.5 * (a + b)
-                fm = eval_poly_coeffs(d3, mid)
+                fm = _horner(d3, mid)
                 if fm == 0.0:
                     return mid
                 if fm > 0:
@@ -275,27 +275,30 @@ def polyfit_estimate(
 
 def _logistic_residuals(y, u_max, a, c):
     n = len(y)
-    res = np.empty(n)
+    t = np.arange(n, dtype=float)
+    # math.exp per sample, not np.exp: the SIMD np.exp differs from libm
+    # in the last bit on a few percent of inputs, and LM amplifies that
+    # into visible changes in the fit (see README "Determinism")
+    e = np.fromiter(map(math.exp, (-c * t).tolist()), float, n)
+    den = 1.0 + a * e
+    den2 = den * den
     jac = np.empty((n, 3))
-    for t in range(n):
-        e = math.exp(-c * t)
-        den = 1.0 + a * e
-        f = u_max / den
-        res[t] = f - y[t]
-        jac[t, 0] = 1.0 / den
-        jac[t, 1] = -u_max * e / (den * den)
-        jac[t, 2] = u_max * a * t * e / (den * den)
-    return res, jac
+    jac[:, 0] = 1.0 / den
+    jac[:, 1] = -u_max * e / den2
+    jac[:, 2] = u_max * a * t * e / den2
+    return u_max / den - y, jac
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lm_refine(y, u_max, a, c):
     """Damped least-squares refinement of one candidate start.
 
     Steps that leave the feasible region (u_max above the data, a and c
     positive) are rejected and the damping raised, same as steps that
-    fail to reduce the error.
+    fail to reduce the error.  Overflow gives inf without a warning,
+    as in scalar float code.
     """
-    ymax = max(y)
+    ymax = y.max()
     p = np.array([u_max, a, c])
     res, jac = _logistic_residuals(y, *p)
     sse = float(res @ res)
@@ -304,11 +307,12 @@ def _lm_refine(y, u_max, a, c):
     for _ in range(200):
         h = jac.T @ jac
         g = jac.T @ res
+        h_diag, neg_g = np.diag(h.diagonal()), -g
         accepted = False
         for _ in range(50):
-            m = h + lam * np.diag(np.diag(h))
+            m = h + lam * h_diag
             try:
-                step = np.linalg.solve(m, -g)
+                step = np.linalg.solve(m, neg_g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -319,7 +323,7 @@ def _lm_refine(y, u_max, a, c):
             res_q, jac_q = _logistic_residuals(y, *q)
             sse_q = float(res_q @ res_q)
             if sse_q <= sse:
-                rel = float(np.max(np.abs(step) / np.maximum(np.abs(p), 1e-300)))
+                rel = float((np.abs(step) / np.maximum(np.abs(p), 1e-300)).max())
                 p, res, jac, sse = q, res_q, jac_q, sse_q
                 lam = max(lam * 0.3, 1e-12)
                 accepted = True
@@ -340,28 +344,29 @@ def _lm_refine(y, u_max, a, c):
 def _fit_logistic_nlls_full(ts: TimeSeries):
     if len(ts) < 4:
         raise DomainError(f"need at least 4 observations, got {len(ts)}")
-    y = [float(v) for v in ts.values]
-    if min(y) <= 0:
+    y = np.array(ts.values)
+    if y.min() <= 0:
         raise DomainError("logistic fitting needs strictly positive values")
-    ymax = max(y)
+    ymax = max(ts.values)
+    t = np.arange(len(y), dtype=float)
     best = None
     for mult in (1.05, 1.5, 3.0, 10.0):
         cap = mult * ymax
-        # logit transform: ln((cap - y)/y) is affine in t when cap is right
-        xs = []
-        zs = []
-        for t, v in enumerate(y):
-            if 0 < v < cap:
-                xs.append(float(t))
-                zs.append(math.log((cap - v) / v))
-        if len(xs) < 2:
+        # logit transform: ln((cap - y)/y) is affine in t when cap is right.
+        # math.log, left-to-right builtin sum and libm pow keep the starts
+        # bit-stable; np.log, pairwise np.sum and x*x could round otherwise
+        keep = y < cap
+        if keep.sum() < 2:
             continue
-        xbar = sum(xs) / len(xs)
-        zbar = sum(zs) / len(zs)
-        sxx = sum((x - xbar) ** 2 for x in xs)
+        v, xs = y[keep], t[keep]
+        zs = np.fromiter(map(math.log, ((cap - v) / v).tolist()), float, len(v))
+        xbar = sum(xs.tolist()) / len(xs)
+        zbar = sum(zs.tolist()) / len(zs)
+        dx = xs - xbar
+        sxx = sum(map(pow, dx.tolist(), itertools.repeat(2)))
         if sxx == 0:
             continue
-        slope = sum((x - xbar) * (z - zbar) for x, z in zip(xs, zs)) / sxx
+        slope = sum((dx * (zs - zbar)).tolist()) / sxx
         a0 = math.exp(zbar - slope * xbar)
         c0 = -slope if -slope > 0 else 1e-6
         (u_hat, a_hat, c_hat), rmse, converged = _lm_refine(y, cap, a0, c0)

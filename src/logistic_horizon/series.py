@@ -20,7 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from math import comb
-from typing import Sequence
+
+import numpy as np
 
 from .errors import CharacteristicPointNotFound, DomainError
 
@@ -46,8 +47,8 @@ class TimeSeries:
     kind: str = "raw"
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if len(self.labels) != len(self.values):
             raise DomainError(
                 f"labels and values differ in length ({len(self.labels)} vs {len(self.values)})"
@@ -56,9 +57,9 @@ class TimeSeries:
             raise DomainError("series must contain at least one observation")
         if self.kind not in SERIES_KINDS:
             raise DomainError(f"kind must be one of {SERIES_KINDS}, got {self.kind!r}")
-        for i, v in enumerate(self.values):
-            if not math.isfinite(v):
-                raise DomainError(f"value at index {i} is not finite: {v!r}")
+        if not all(map(math.isfinite, self.values)):
+            i = list(map(math.isfinite, self.values)).index(False)
+            raise DomainError(f"value at index {i} is not finite: {self.values[i]!r}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -80,10 +81,6 @@ class DiffSeries:
     def __post_init__(self):
         if len(self.values) != len(self.source):
             raise DomainError("diff values must align with the source series")
-
-    def defined(self) -> list[tuple[int, float]]:
-        """(index, value) pairs for the defined slots, in index order."""
-        return [(i, v) for i, v in enumerate(self.values) if v is not None]
 
 
 @dataclass(frozen=True)
@@ -120,28 +117,27 @@ def _require_length(ts: TimeSeries, minimum: int) -> None:
         raise DomainError(f"series too short: need at least {minimum} points, got {len(ts)}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _second_diff(ts: TimeSeries, kind: str, lead: int) -> DiffSeries:
+    # one stencil ((y[t+1] - 2 y[t]) + y[t-1]) / 2, placed `lead` slots in;
+    # here and below, overflow yields inf silently, as scalar floats do
+    _require_length(ts, 3)
+    y = np.asarray(ts.values)
+    inner = tuple((((y[2:] - 2.0 * y[1:-1]) + y[:-2]) / 2.0).tolist())
+    return DiffSeries(source=ts, kind=kind, values=(None,) * lead + inner + (None,) * (2 - lead))
+
+
 def second_central_diff(ts: TimeSeries) -> DiffSeries:
     """(y[t+1] - 2 y[t] + y[t-1]) / 2 at the interior indices."""
-    _require_length(ts, 3)
-    y = ts.values
-    n = len(y)
-    vals: list = [None] * n
-    for t in range(1, n - 1):
-        vals[t] = (y[t + 1] - 2.0 * y[t] + y[t - 1]) / 2.0
-    return DiffSeries(source=ts, kind="scd", values=tuple(vals))
+    return _second_diff(ts, "scd", 1)
 
 
 def second_left_diff(ts: TimeSeries) -> DiffSeries:
     """(y[t] - 2 y[t-1] + y[t-2]) / 2, defined from index 2 on."""
-    _require_length(ts, 3)
-    y = ts.values
-    n = len(y)
-    vals: list = [None] * n
-    for t in range(2, n):
-        vals[t] = (y[t] - 2.0 * y[t - 1] + y[t - 2]) / 2.0
-    return DiffSeries(source=ts, kind="sld", values=tuple(vals))
+    return _second_diff(ts, "sld", 2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nth_central_diff(ts: TimeSeries, order: int) -> DiffSeries:
     """Order-k central difference divided by 2, the SCD generalization.
 
@@ -153,54 +149,46 @@ def nth_central_diff(ts: TimeSeries, order: int) -> DiffSeries:
     if not isinstance(order, int) or isinstance(order, bool) or order < 2:
         raise DomainError(f"difference order must be an integer >= 2, got {order!r}")
     _require_length(ts, order + 1)
-    y = ts.values
-    n = len(y)
+    y = np.asarray(ts.values)
+    m = len(y) - order
+    acc = np.zeros(m)
+    for j in range(order + 1):
+        acc = acc + (-1) ** j * comb(order, j) * y[order - j : order - j + m]
     lo = order // 2
-    hi = (order + 1) // 2
-    vals: list = [None] * n
-    for t in range(lo, n - hi):
-        acc = 0.0
-        for j in range(order + 1):
-            acc += (-1) ** j * comb(order, j) * y[t - lo + (order - j)]
-        vals[t] = acc / 2.0
+    vals = (None,) * lo + tuple((acc / 2.0).tolist()) + (None,) * (order - lo)
     kind = "scd" if order == 2 else f"central-{order}"
-    return DiffSeries(source=ts, kind=kind, values=tuple(vals))
+    return DiffSeries(source=ts, kind=kind, values=vals)
 
 
-def _strict_local_maxima(vals: Sequence) -> list[int]:
+def _strict_local_maxima(a: np.ndarray) -> np.ndarray:
     # both neighbors must exist and be defined; plateaus never qualify
-    out = []
-    for i in range(1, len(vals) - 1):
-        v, left, right = vals[i], vals[i - 1], vals[i + 1]
-        if v is None or left is None or right is None:
-            continue
-        if v > left and v > right:
-            out.append(i)
-    return out
+    mid = a[1:-1]
+    return ((mid > a[:-2]) & (mid > a[2:])).nonzero()[0] + 1
 
 
-def _ambiguity(winner: int, vals, defined) -> tuple[tuple[int, float], ...]:
-    winner_value = vals[winner]
-    span = winner_value - min(v for _, v in defined)
-    rivals: dict[int, float] = {}
-    for i in _strict_local_maxima(vals):
-        if i != winner:
-            rivals[i] = vals[i]
-    threshold = 0.25 * span
-    for i, v in defined:
-        if i != winner and winner_value - v <= threshold:
-            rivals[i] = v
-    return tuple(sorted(rivals.items()))
+def _first_index_of(a: np.ndarray, value) -> int:
+    # earliest index on ties; nan slots never match, unlike in nanargmax
+    return int((a == value).argmax())
 
 
-def _make_point(ds: DiffSeries, index: int, policy: str) -> CharacteristicPoint:
+@np.errstate(over="ignore", invalid="ignore")
+def _ambiguity(winner: int, a: np.ndarray, maxima: np.ndarray) -> tuple[tuple[int, float], ...]:
+    winner_value = a[winner]
+    rival = winner_value - a <= 0.25 * (winner_value - np.fmin.reduce(a))
+    rival[maxima] = True
+    rival[winner] = False
+    idx = rival.nonzero()[0]
+    return tuple(zip(idx.tolist(), a[idx].tolist()))
+
+
+def _make_point(ds: DiffSeries, a: np.ndarray, maxima: np.ndarray, index: int, policy: str):
     return CharacteristicPoint(
         index=index,
         label=ds.source.labels[index],
         diff_value=ds.values[index],
         series_value=ds.source.values[index],
         policy_used=policy,
-        ambiguity=_ambiguity(index, ds.values, ds.defined()),
+        ambiguity=_ambiguity(index, a, maxima),
     )
 
 
@@ -220,32 +208,24 @@ def find_characteristic_point(ds: DiffSeries, policy: str = FIRST_LOCAL_MAX) -> 
     """
     if policy not in POLICIES:
         raise DomainError(f"policy must be one of {POLICIES}, got {policy!r}")
-    defined = ds.defined()
-    if len(defined) < 3:
-        raise DomainError(f"need at least 3 defined difference values, got {len(defined)}")
+    # undefined slots become nan, which every comparison rejects
+    a = np.array(ds.values, dtype=float)
+    n_defined = int(np.count_nonzero(a == a))
+    if n_defined < 3:
+        raise DomainError(f"need at least 3 defined difference values, got {n_defined}")
 
-    maxima = _strict_local_maxima(ds.values)
-
+    maxima = _strict_local_maxima(a)
+    candidates = maxima
+    if policy == LAST_LOCAL_MAX_BEFORE_DECLINE:
+        candidates = maxima[maxima < _first_index_of(a, np.fmin.reduce(a))]
+    if policy != GLOBAL_MAX and len(candidates):
+        index = candidates[0] if policy == FIRST_LOCAL_MAX else candidates[-1]
+        return _make_point(ds, a, maxima, int(index), policy)
+    top = _make_point(ds, a, maxima, _first_index_of(a, np.fmax.reduce(a)), GLOBAL_MAX)
     if policy == GLOBAL_MAX:
-        best_i, best_v = defined[0]
-        for i, v in defined[1:]:
-            if v > best_v:
-                best_i, best_v = i, v
-        return _make_point(ds, best_i, policy)
-
-    if policy == FIRST_LOCAL_MAX:
-        candidates = maxima
-    else:
-        min_value = min(v for _, v in defined)
-        first_min_index = next(i for i, v in defined if v == min_value)
-        candidates = [i for i in maxima if i < first_min_index]
-
-    if not candidates:
-        fallback = find_characteristic_point(ds, GLOBAL_MAX)
-        raise CharacteristicPointNotFound(
-            f"no strict local maximum admissible under policy {policy!r}; "
-            f"global maximum is at index {fallback.index} (label {fallback.label!r})",
-            fallback=fallback,
-        )
-    index = candidates[0] if policy == FIRST_LOCAL_MAX else candidates[-1]
-    return _make_point(ds, index, policy)
+        return top
+    raise CharacteristicPointNotFound(
+        f"no strict local maximum admissible under policy {policy!r}; "
+        f"global maximum is at index {top.index} (label {top.label!r})",
+        fallback=top,
+    )

@@ -4,6 +4,7 @@ derivative values they encode."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from logistic_horizon import (
@@ -148,6 +149,29 @@ def test_characteristic_levels():
     assert characteristic_level(5) == pytest.approx(RHO5, abs=1e-12)
     with pytest.raises(DomainError):
         characteristic_level(1)
+
+
+def test_cached_orders_still_validate():
+    # 3.0 and True hash like 3 and 1: a lookup before validation would
+    # hand them the cached fraction
+    characteristic_level(3)
+    poly_roots(3)
+    for bad in (3.0, np.int64(3), True, 1):
+        with pytest.raises(DomainError):
+            characteristic_level(bad)
+    for bad in (3.0, np.int64(3), True, False):
+        with pytest.raises(DomainError):
+            poly_roots(bad)
+
+
+def test_cached_roots_cannot_be_mutated():
+    level = characteristic_level(4)
+    roots = poly_roots(4)
+    want = list(roots)
+    roots[1] = 0.25
+    roots.append(2.0)
+    assert poly_roots(4) == want
+    assert characteristic_level(4) == level == want[1]
 
 
 def test_order_validation():

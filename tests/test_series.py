@@ -1,5 +1,6 @@
 """Difference transforms and characteristic-point detection."""
 
+import math
 import random
 
 import pytest
@@ -29,6 +30,12 @@ WINDOW_SCD = (-556.0, -412.0, 358.0, 291.5, -74.5, -259.5, -97.5, -588.5)
 
 def _window():
     return get_fixture("loyalty-tnlc-window").series
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_time_series_names_the_nonfinite_index(bad):
+    with pytest.raises(DomainError, match=r"value at index 2 is not finite"):
+        TimeSeries(tuple("abcde"), (1.0, 2.0, bad, 4.0, math.inf), "raw")
 
 
 def test_time_series_validation():
