@@ -189,8 +189,7 @@ def fit_polynomial_lsm(ts: TimeSeries, degree: int) -> PolyFit:
         raise DomainError(f"need more points than the degree: {n} points for degree {degree}")
     x = np.arange(n, dtype=float)
     design = np.vander(x, degree + 1, increasing=True)
-    y = np.asarray(ts.values, dtype=float)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    coeffs, _, rank, _ = np.linalg.lstsq(design, ts.array, rcond=None)
     if rank < degree + 1:
         raise NumericalError(f"design matrix rank {rank} below {degree + 1}; fit is not unique")
     return PolyFit(
@@ -344,7 +343,7 @@ def _lm_refine(y, u_max, a, c):
 def _fit_logistic_nlls_full(ts: TimeSeries):
     if len(ts) < 4:
         raise DomainError(f"need at least 4 observations, got {len(ts)}")
-    y = np.array(ts.values)
+    y = ts.array
     if y.min() <= 0:
         raise DomainError("logistic fitting needs strictly positive values")
     ymax = max(ts.values)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from math import comb
 
 import numpy as np
@@ -39,15 +39,19 @@ class TimeSeries:
 
     kind says how the values are to be read: "raw" for per-period
     increments, "cumulative" for running levels.  Estimators that
-    assume a level series check this field.
+    assume a level series check this field.  array is values as a
+    read-only float64 array, made once here; ==, hash and repr skip it.
     """
 
     labels: tuple[str, ...]
     values: tuple[float, ...]
     kind: str = "raw"
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if set(map(type, self.labels)) - {str}:  # exact str labels stay as given
+            object.__setattr__(self, "labels", tuple(map(str, self.labels)))
         object.__setattr__(self, "values", tuple(map(float, self.values)))
         if len(self.labels) != len(self.values):
             raise DomainError(
@@ -57,9 +61,16 @@ class TimeSeries:
             raise DomainError("series must contain at least one observation")
         if self.kind not in SERIES_KINDS:
             raise DomainError(f"kind must be one of {SERIES_KINDS}, got {self.kind!r}")
-        if not all(map(math.isfinite, self.values)):
+        # a finite sum rules out inf and nan; an overflowed one falls to the exact test
+        if not math.isfinite(sum(self.values)) and not all(map(math.isfinite, self.values)):
             i = list(map(math.isfinite, self.values)).index(False)
             raise DomainError(f"value at index {i} is not finite: {self.values[i]!r}")
+        y = np.fromiter(self.values, float, len(self.values))
+        y.setflags(write=False)
+        object.__setattr__(self, "array", y)
+
+    def __reduce__(self):  # pickle and copy go through __init__: a fresh read-only array
+        return type(self), (self.labels, self.values, self.kind)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -72,15 +83,21 @@ class DiffSeries:
     values has one slot per source observation; slots where the stencil
     would reach outside the series hold None instead of a number.  kind
     is "scd", "sld", or "central-k" for the order-k generalization.
+    array is values as a read-only float64 array, nan for None.
     """
 
     source: TimeSeries
     kind: str
     values: tuple = field(default=())
+    array: np.ndarray = field(init=False, repr=False, compare=False)
+    stencil: InitVar[np.ndarray | None] = None  # the array a stencil computed, if any
 
-    def __post_init__(self):
+    def __post_init__(self, stencil):
         if len(self.values) != len(self.source):
             raise DomainError("diff values must align with the source series")
+        a = np.array(self.values, dtype=float) if stencil is None else stencil
+        a.setflags(write=False)
+        object.__setattr__(self, "array", a)
 
 
 @dataclass(frozen=True)
@@ -122,9 +139,16 @@ def _second_diff(ts: TimeSeries, kind: str, lead: int) -> DiffSeries:
     # one stencil ((y[t+1] - 2 y[t]) + y[t-1]) / 2, placed `lead` slots in;
     # here and below, overflow yields inf silently, as scalar floats do
     _require_length(ts, 3)
-    y = np.asarray(ts.values)
-    inner = tuple((((y[2:] - 2.0 * y[1:-1]) + y[:-2]) / 2.0).tolist())
-    return DiffSeries(source=ts, kind=kind, values=(None,) * lead + inner + (None,) * (2 - lead))
+    y = ts.array
+    return _padded(ts, kind, ((y[2:] - 2.0 * y[1:-1]) + y[:-2]) / 2.0, lead)
+
+
+def _padded(ts: TimeSeries, kind: str, inner: np.ndarray, lead: int) -> DiffSeries:
+    a = np.empty(len(ts))
+    a.fill(np.nan)
+    a[lead : lead + len(inner)] = inner
+    values = (None,) * lead + tuple(inner.tolist()) + (None,) * (len(a) - lead - len(inner))
+    return DiffSeries(source=ts, kind=kind, values=values, stencil=a)
 
 
 def second_central_diff(ts: TimeSeries) -> DiffSeries:
@@ -149,15 +173,12 @@ def nth_central_diff(ts: TimeSeries, order: int) -> DiffSeries:
     if not isinstance(order, int) or isinstance(order, bool) or order < 2:
         raise DomainError(f"difference order must be an integer >= 2, got {order!r}")
     _require_length(ts, order + 1)
-    y = np.asarray(ts.values)
+    y = ts.array
     m = len(y) - order
     acc = np.zeros(m)
     for j in range(order + 1):
         acc = acc + (-1) ** j * comb(order, j) * y[order - j : order - j + m]
-    lo = order // 2
-    vals = (None,) * lo + tuple((acc / 2.0).tolist()) + (None,) * (order - lo)
-    kind = "scd" if order == 2 else f"central-{order}"
-    return DiffSeries(source=ts, kind=kind, values=vals)
+    return _padded(ts, "scd" if order == 2 else f"central-{order}", acc / 2.0, order // 2)
 
 
 def _strict_local_maxima(a: np.ndarray) -> np.ndarray:
@@ -208,8 +229,8 @@ def find_characteristic_point(ds: DiffSeries, policy: str = FIRST_LOCAL_MAX) -> 
     """
     if policy not in POLICIES:
         raise DomainError(f"policy must be one of {POLICIES}, got {policy!r}")
-    # undefined slots become nan, which every comparison rejects
-    a = np.array(ds.values, dtype=float)
+    # undefined slots are nan, which every comparison rejects
+    a = ds.array
     n_defined = int(np.count_nonzero(a == a))
     if n_defined < 3:
         raise DomainError(f"need at least 3 defined difference values, got {n_defined}")

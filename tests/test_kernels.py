@@ -25,6 +25,7 @@ from logistic_horizon import (
     TimeSeries,
     estimate_nlls,
     estimate_scd,
+    estimate_sld,
     find_characteristic_point,
     generate,
     higher_order_estimate,
@@ -203,6 +204,41 @@ def test_detection_on_stencils_matches_reference(y, policy):
     assert _bits(got) == _bits(want)
 
 
+def _detect(ds, policy):
+    try:
+        point = find_characteristic_point(ds, policy)
+        status = "ok"
+    except CharacteristicPointNotFound as exc:
+        point, status = exc.fallback, ("not-found", str(exc))
+    except DomainError as exc:
+        return ("too-few", str(exc))
+    fields = (point.index, point.label, point.diff_value, point.series_value, point.ambiguity)
+    return (status, point.policy_used) + fields
+
+
+STENCILS = {
+    "scd": second_central_diff,
+    "sld": second_left_diff,
+    **{order: lambda ts, order=order: nth_central_diff(ts, order) for order in range(2, 7)},
+}
+
+
+@SETTINGS
+@given(
+    st.sampled_from(sorted(STENCILS, key=str)),
+    st.lists(st.one_of(finite, coarse), min_size=7, max_size=40),
+    st.sampled_from(POLICIES),
+)
+def test_detection_on_stencil_and_hand_built_diffs_agree(stencil, y, policy):
+    # a stencil hands its own array to DiffSeries; one built by hand from
+    # the same values converts them, with nan for None
+    built = STENCILS[stencil](_series(y))
+    by_hand = DiffSeries(source=built.source, kind=built.kind, values=built.values)
+    assert built.array.tobytes() == by_hand.array.tobytes()
+    assert not built.array.flags.writeable and not by_hand.array.flags.writeable
+    assert _bits(_detect(built, policy)) == _bits(_detect(by_hand, policy))
+
+
 def test_detection_ties_and_plateaus():
     # plateau at 5: no strict maximum there; the tie for the global max
     # goes to the earliest index, and the first minimum bounds the
@@ -241,14 +277,16 @@ def test_logistic_residuals_match_reference(y, u_max, a, c):
 # --------------------------------------------------- pinned 10^4-point run
 
 # float.hex of each estimate on the noisy series below, as computed by
-# the scalar per-sample loops the kernels replaced.  Noise keeps nlls
-# off the exact ceiling and gives scd thousands of ambiguity rivals.
+# the scalar per-sample loops the kernels replaced (sld by the code
+# before the series carried their arrays).  Noise keeps nlls off the
+# exact ceiling and gives scd thousands of ambiguity rivals.
 LONG_SPEC = GenSpec(
     params=LogisticParams(1000.0, 200.0, 0.001), n_points=10_000, noise_sd=1.0, seed=7
 )
 LONG_PINNED = {
     "nlls": "0x1.f400a1662fb69p+9",
     "scd": "0x1.89a922938adbap+4",
+    "sld": "0x1.7122b799a639fp+4",
     "order5": "0x1.d8054fde9fa50p+6",
 }
 
@@ -259,6 +297,7 @@ def test_long_series_estimates_are_bit_identical():
     got = {
         "nlls": estimate_nlls(ts).u_max_hat.hex(),
         "scd": estimate_scd(ts).u_max_hat.hex(),
+        "sld": estimate_sld(ts).u_max_hat.hex(),
         "order5": higher_order_estimate(ts, 5).u_max_hat.hex(),
     }
     assert got == LONG_PINNED

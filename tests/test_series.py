@@ -1,8 +1,12 @@
 """Difference transforms and characteristic-point detection."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from logistic_horizon import (
@@ -47,6 +51,85 @@ def test_time_series_validation():
         TimeSeries((), (), "raw")
     with pytest.raises(DomainError):
         TimeSeries(("a", "b", "c"), (1.0, float("nan"), 3.0), "raw")
+
+
+def test_str_labels_are_kept_as_given():
+    labels = tuple(f"week {i}" for i in range(5))
+    ts = TimeSeries(labels, (1.0, 2.0, 3.0, 4.0, 5.0), "raw")
+    assert ts.labels is labels
+    assert TimeSeries(list(labels), [1, 2, 3, 4, 5], "raw").labels == labels
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        (1, 2, 3),
+        tuple(np.arange(3)),
+        ("a", 2, np.int64(3)),
+        (1.5, "b", None),
+        tuple(np.array(["x", "y", "z"])),  # numpy.str_, a str subclass
+    ],
+)
+def test_other_labels_become_str(labels):
+    ts = TimeSeries(labels, (1.0, 2.0, 3.0), "raw")
+    assert ts.labels == tuple(str(label) for label in labels)
+    assert all(type(label) is str for label in ts.labels)
+
+
+def _bit_equal(array, values):
+    # float64, read-only, nan exactly where values holds None
+    assert array.dtype == np.float64 and array.shape == (len(values),)
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0] = 0.0
+    for x, v in zip(array.tolist(), values):
+        assert math.isnan(x) if v is None else x.hex() == v.hex()
+
+
+def test_time_series_array_is_read_only_and_bit_equal():
+    ts = TimeSeries(tuple("abcd"), (3, 0.1, -0.0, 2.5e300), "raw")
+    _bit_equal(ts.array, ts.values)
+    assert all(type(v) is float for v in ts.values)
+
+
+def test_time_series_array_leaves_eq_hash_pickle_and_replace_alone():
+    ts = TimeSeries(tuple("abc"), (1.0, 2.0, 4.0), "cumulative")
+    twin = TimeSeries(["a", "b", "c"], [1, 2, 4], "cumulative")
+    assert ts == twin and hash(ts) == hash(twin)
+    assert ts != TimeSeries(tuple("abc"), (1.0, 2.0, 5.0), "cumulative")
+    assert "array" not in repr(ts)
+    for clone in (pickle.loads(pickle.dumps(ts)), copy.deepcopy(ts), copy.copy(ts)):
+        assert clone == ts and hash(clone) == hash(ts)
+        _bit_equal(clone.array, clone.values)
+    moved = dataclasses.replace(ts, values=(1.0, 2.0, 8.0))
+    assert moved.values == (1.0, 2.0, 8.0) and moved.labels == ts.labels
+    _bit_equal(moved.array, moved.values)
+    with pytest.raises(ValueError):
+        dataclasses.replace(ts, array=np.zeros(3))
+
+
+def test_diff_series_array_follows_values():
+    ts = TimeSeries(tuple("abcdef"), (1.0, 2.0, 4.0, 7.0, 9.0, 10.0), "cumulative")
+    for ds in (second_central_diff(ts), second_left_diff(ts), nth_central_diff(ts, 3)):
+        _bit_equal(ds.array, ds.values)
+        by_hand = DiffSeries(source=ts, kind=ds.kind, values=ds.values)
+        _bit_equal(by_hand.array, by_hand.values)
+        assert by_hand == ds and hash(by_hand) == hash(ds) and "array" not in repr(ds)
+        clone = pickle.loads(pickle.dumps(ds))
+        assert clone == ds and clone.array.tobytes() == ds.array.tobytes()
+        moved = dataclasses.replace(ds, values=(None, 5.0, 6.0, 7.0, 8.0, None))
+        _bit_equal(moved.array, moved.values)
+
+
+def test_time_series_accepts_finite_values_whose_sum_overflows():
+    ts = TimeSeries(tuple("abc"), (1e308, 1e308, -1e308), "raw")
+    assert ts.values == (1e308, 1e308, -1e308)
+    _bit_equal(ts.array, ts.values)
+
+
+def test_time_series_names_the_first_nonfinite_index_of_any_input():
+    with pytest.raises(DomainError, match=r"value at index 3 is not finite: inf"):
+        TimeSeries([1, 2, 3, 4, 5], [1, 2.0, np.float64(3), np.inf, np.nan], "raw")
 
 
 def test_cumulate():
