@@ -208,7 +208,12 @@ def _bisect_root(f, a: float, b: float) -> float:
 
 
 def poly_roots(n: int) -> list[float]:
-    """All ``n + 1`` roots of P_{n+1}, ascending, each within 1e-12.
+    """All ``n + 1`` roots of P_{n+1}, ascending.
+
+    Bisection stops at an absolute bracket width of ``_BISECT_TOL``
+    (1e-13), so the relative error of the small roots grows with n:
+    against mpmath, the least positive root is off by about 7.5e-14
+    relative at n = 3 and 6.6e-7 at n = 25.
 
     Recursion: starting from roots(P_2) = [0, 1], the inner roots at
     each level are the zeros of the previous level's derivative,

@@ -29,6 +29,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .derivpoly import characteristic_level
 from .errors import DomainError, EstimationError, NumericalError
@@ -109,7 +110,7 @@ def _division_estimate(ts, ds, n, method, constant_mode, policy) -> SaturationEs
     point = find_characteristic_point(ds, policy)
     constant = resolve_constant(n, constant_mode)
     u_max_hat = point.series_value / constant
-    observed_max = max(ts.values)
+    observed_max = float(ts.array.max())
     exceeds = u_max_hat > observed_max
     if not exceeds:
         warnings.warn(
@@ -225,7 +226,7 @@ def _argmax_second_derivative(fit: PolyFit) -> float:
         )
     i = int(np.argmax(vals))
     if 0 < i < len(xs) - 1:
-        a, b = xs[i - 1], xs[i + 1]
+        a, b = float(xs[i - 1]), float(xs[i + 1])
         fa, fb = _horner(d3, a), _horner(d3, b)
         if fa > 0 > fb:
             for _ in range(80):
@@ -254,7 +255,7 @@ def polyfit_estimate(
     f_x_star = fit(x_star)
     constant = resolve_constant(3, constant_mode)
     u_max_hat = f_x_star / constant
-    observed_max = max(ts.values)
+    observed_max = float(ts.array.max())
     diagnostics = {
         "degree": degree,
         "coefficients": list(fit.coefficients),
@@ -272,20 +273,22 @@ def polyfit_estimate(
     )
 
 
-def _logistic_residuals(y, u_max, a, c):
-    n = len(y)
-    t = np.arange(n, dtype=float)
+def _logistic_residuals(y, t, u_max, a, c):
     # math.exp per sample, not np.exp: the SIMD np.exp differs from libm
     # in the last bit on a few percent of inputs, and LM amplifies that
     # into visible changes in the fit (see README "Determinism")
-    e = np.fromiter(map(math.exp, (-c * t).tolist()), float, n)
+    e = np.fromiter(map(math.exp, (-c * t).tolist()), float, len(t))
     den = 1.0 + a * e
+    return u_max / den - y, e, den
+
+
+def _logistic_jacobian(t, u_max, a, e, den):
     den2 = den * den
-    jac = np.empty((n, 3))
+    jac = np.empty((len(t), 3))
     jac[:, 0] = 1.0 / den
     jac[:, 1] = -u_max * e / den2
     jac[:, 2] = u_max * a * t * e / den2
-    return u_max / den - y, jac
+    return jac
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -294,40 +297,38 @@ def _lm_refine(y, u_max, a, c):
 
     Steps that leave the feasible region (u_max above the data, a and c
     positive) are rejected and the damping raised, same as steps that
-    fail to reduce the error.  Overflow gives inf without a warning,
-    as in scalar float code.
+    fail to reduce the error.  A singular system solves to nan and is
+    rejected the same way.  Overflow gives inf without a warning, as in
+    scalar float code.
     """
-    ymax = y.max()
-    p = np.array([u_max, a, c])
-    res, jac = _logistic_residuals(y, *p)
+    ymax = float(y.max())
+    t = np.arange(len(y), dtype=float)
+    p = (float(u_max), float(a), float(c))
+    res, e, den = _logistic_residuals(y, t, *p)
     sse = float(res @ res)
     lam = 1e-3
     converged = False
     for _ in range(200):
+        jac = _logistic_jacobian(t, p[0], p[1], e, den)
         h = jac.T @ jac
         g = jac.T @ res
         h_diag, neg_g = np.diag(h.diagonal()), -g
         accepted = False
         for _ in range(50):
-            m = h + lam * h_diag
-            try:
-                step = np.linalg.solve(m, neg_g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            q = p + step
+            # np.linalg.solve's own LAPACK gufunc, without its wrapper's cost per call
+            step = _solve1(h + lam * h_diag, neg_g).tolist()
+            q = (p[0] + step[0], p[1] + step[1], p[2] + step[2])
             if not (q[0] > ymax and q[1] > 0 and q[2] > 0):
                 lam *= 10.0
                 continue
-            res_q, jac_q = _logistic_residuals(y, *q)
+            res_q, e_q, den_q = _logistic_residuals(y, t, *q)
             sse_q = float(res_q @ res_q)
             if sse_q <= sse:
-                rel = float((np.abs(step) / np.maximum(np.abs(p), 1e-300)).max())
-                p, res, jac, sse = q, res_q, jac_q, sse_q
+                # every ratio below the bound is max(ratios) below it, nan included
+                converged = all(abs(s) / max(abs(v), 1e-300) < 1e-10 for s, v in zip(step, p))
+                p, res, e, den, sse = q, res_q, e_q, den_q, sse_q
                 lam = max(lam * 0.3, 1e-12)
                 accepted = True
-                if rel < 1e-10:
-                    converged = True
                 break
             lam *= 10.0
         if not accepted:
@@ -337,7 +338,7 @@ def _lm_refine(y, u_max, a, c):
         if converged:
             break
     rmse = math.sqrt(sse / len(y))
-    return (float(p[0]), float(p[1]), float(p[2])), rmse, converged
+    return p, rmse, converged
 
 
 def _fit_logistic_nlls_full(ts: TimeSeries):
@@ -346,7 +347,7 @@ def _fit_logistic_nlls_full(ts: TimeSeries):
     y = ts.array
     if y.min() <= 0:
         raise DomainError("logistic fitting needs strictly positive values")
-    ymax = max(ts.values)
+    ymax = float(y.max())
     t = np.arange(len(y), dtype=float)
     best = None
     for mult in (1.05, 1.5, 3.0, 10.0):
@@ -399,7 +400,7 @@ def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
         "c": params.c,
         "rmse": rmse,
         "converged": converged,
-        "exceeds_max_observed": params.u_max > max(ts.values),
+        "exceeds_max_observed": params.u_max > float(ts.array.max()),
     }
     return SaturationEstimate(
         method="nlls",

@@ -195,6 +195,21 @@ def test_polyfit_estimate_degree_six_path():
     assert est.diagnostics["f_x_star"] == pytest.approx(13.0, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "degree, u_max_hat", [(6, "0x1.849c9e1e21a9fp+10"), (8, "0x1.c55fa6d4f83c7p+4")]
+)
+def test_polyfit_estimate_returns_python_scalars(degree, u_max_hat):
+    # at degree 6 the grid-and-bisection search once handed back numpy
+    # scalars here; the values are pinned from that code, bit for bit
+    est = polyfit_estimate(cumulate(get_fixture("medical-qmd").series), degree=degree)
+    diag = est.diagnostics
+    assert est.u_max_hat.hex() == u_max_hat
+    assert type(est.u_max_hat) is float and type(est.constant_used) is float
+    assert type(diag["x_star"]) is float and type(diag["f_x_star"]) is float
+    assert all(type(c) is float for c in diag["coefficients"])
+    assert type(diag["exceeds_max_observed"]) is bool
+
+
 def test_polyfit_estimate_on_window():
     est = polyfit_estimate(_window(), constant_mode="paper-rounded")
     assert est.u_max_hat == 507452.6253598521

@@ -6,6 +6,7 @@ down to the sign of zero, same indices, same Python types.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from logistic_horizon import (
     second_central_diff,
     second_left_diff,
 )
-from logistic_horizon.estimate import _logistic_residuals
+from logistic_horizon.estimate import _lm_refine, _logistic_jacobian, _logistic_residuals, _solve1
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
@@ -141,6 +142,55 @@ def _ref_residuals(y, u_max, a, c):
         jac[t, 1] = -u_max * e / (den * den)
         jac[t, 2] = u_max * a * t * e / (den * den)
     return res, jac
+
+
+# the Levenberg-Marquardt loop as it was before it kept its parameters
+# as Python floats and called the LAPACK routine directly, on the
+# reference residuals; the current loop must give the same bits
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _ref_lm_refine(y, u_max, a, c):
+    ymax = y.max()
+    p = np.array([u_max, a, c])
+    res, jac = _ref_residuals(y, *p)
+    sse = float(res @ res)
+    lam = 1e-3
+    converged = False
+    for _ in range(200):
+        h = jac.T @ jac
+        g = jac.T @ res
+        h_diag, neg_g = np.diag(h.diagonal()), -g
+        accepted = False
+        for _ in range(50):
+            m = h + lam * h_diag
+            try:
+                step = np.linalg.solve(m, neg_g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            q = p + step
+            if not (q[0] > ymax and q[1] > 0 and q[2] > 0):
+                lam *= 10.0
+                continue
+            res_q, jac_q = _ref_residuals(y, *q)
+            sse_q = float(res_q @ res_q)
+            if sse_q <= sse:
+                rel = float((np.abs(step) / np.maximum(np.abs(p), 1e-300)).max())
+                p, res, jac, sse = q, res_q, jac_q, sse_q
+                lam = max(lam * 0.3, 1e-12)
+                accepted = True
+                if rel < 1e-10:
+                    converged = True
+                break
+            lam *= 10.0
+        if not accepted:
+            converged = True
+            break
+        if converged:
+            break
+    rmse = math.sqrt(sse / len(y))
+    return (float(p[0]), float(p[1]), float(p[2])), rmse, converged
 
 
 # ---------------------------------------------------------------- stencils
@@ -267,11 +317,78 @@ positive = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
 )
 def test_logistic_residuals_match_reference(y, u_max, a, c):
     y = np.array(y)
-    res, jac = _logistic_residuals(y, u_max, a, c)
+    t = np.arange(len(y), dtype=float)
+    res, e, den = _logistic_residuals(y, t, u_max, a, c)
+    jac = _logistic_jacobian(t, u_max, a, e, den)
     want_res, want_jac = _ref_residuals(y, u_max, a, c)
     assert res.tobytes() == want_res.tobytes()
     assert jac.tobytes() == want_jac.tobytes()
     assert jac.flags.c_contiguous
+
+
+# ------------------------------------------------------- damped least squares
+
+
+@st.composite
+def lm_inputs(draw):
+    """A noisy logistic window and a start, the ladder's cap among them."""
+    n = draw(st.integers(4, 60))
+    u_max, a, c = draw(st.floats(1.0, 1e5)), draw(st.floats(1.0, 1e3)), draw(st.floats(0.01, 2.0))
+    noise = draw(st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n))
+    y = [u_max / (1.0 + a * math.exp(-c * t)) * (1.0 + eps) for t, eps in enumerate(noise)]
+    mult = draw(st.sampled_from((1.05, 1.5, 3.0, 10.0)) | st.floats(0.5, 20.0))
+    return y, (mult * max(y), draw(positive), draw(st.floats(1e-6, 5.0)))
+
+
+def _logistic_window(n):
+    return [1000.0 / (1.0 + 200.0 * math.exp(-0.4 * t)) for t in range(n)]
+
+
+# 10 points of a noisy-sweep series (noise_sd 5, seed 1) from the first
+# start of the ladder: runs into the 200-iteration cap
+_SWEEP_SPEC = GenSpec(LogisticParams(1000.0, 200.0, 0.4), n_points=41, noise_sd=5.0, seed=1)
+_CAPPED = (
+    generate(_SWEEP_SPEC).values[:10],
+    (
+        float.fromhex("0x1.4d73e2dbf1647p+7"),
+        float.fromhex("0x1.285d51f968544p+5"),
+        float.fromhex("0x1.2403233e7907ep-1"),
+    ),
+)
+
+
+@SETTINGS
+@given(lm_inputs())
+# exp(-c t) underflows to 0 past t = 0: the damped system is singular
+@example((_logistic_window(20), (1500.0, 200.0, 1000.0)))
+# u_max * a overflows to inf in the Jacobian
+@example((_logistic_window(20), (1500.0, 1e300, 0.4)))
+@example(_CAPPED)
+def test_lm_refine_matches_reference(inputs):
+    y, start = np.array(inputs[0]), inputs[1]
+    got = _lm_refine(y, *start)
+    assert _bits(got) == _bits(_ref_lm_refine(y, *start))
+    assert all(type(v) is float for v in got[0])
+
+
+@SETTINGS
+@given(st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+def test_solve1_is_the_routine_np_linalg_solve_runs(vals):
+    m = np.array(vals[:9]).reshape(3, 3) + 4.0 * np.eye(3)  # diagonally dominant
+    b = np.array(vals[9:])
+    assert _solve1(m, b).tobytes() == np.linalg.solve(m, b).tobytes()
+
+
+def test_solve1_singular_system_gives_nan():
+    m = np.array([[4.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    b = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(m, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            step = _solve1(m, b)
+    assert step.shape == (3,) and np.isnan(step).all()
 
 
 # --------------------------------------------------- pinned 10^4-point run
