@@ -26,7 +26,6 @@ from .errors import (
     ParseError,
 )
 from .eulerian import (
-    EulerianTriangle,
     count_ascents,
     eulerian_explicit,
     eulerian_number,
@@ -98,7 +97,6 @@ __all__ = [
     "LogisticHorizonError",
     "NumericalError",
     "ParseError",
-    "EulerianTriangle",
     "count_ascents",
     "eulerian_explicit",
     "eulerian_number",

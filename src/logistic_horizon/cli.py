@@ -21,20 +21,14 @@ import os
 import re
 import sys
 
-from .derivpoly import characteristic_level, poly_roots
-from .errors import DomainError, LogisticHorizonError, ParseError
-from .estimate import (
-    estimate_nlls,
-    estimate_scd,
-    estimate_sld,
-    fit_logistic_nlls,
-    higher_order_estimate,
-    polyfit_estimate,
-)
+from .derivpoly import poly_roots
+from .errors import CharacteristicPointNotFound, DomainError, LogisticHorizonError, ParseError
+from .estimate import METHODS, fit_logistic_nlls, run_method
 from .eulerian import eulerian_row
 from .fixtures import FIXTURE_NAMES, get_fixture
 from .logistic import LogisticParams
 from .series import (
+    POLICIES,
     CharacteristicPoint,
     TimeSeries,
     cumulate,
@@ -42,7 +36,6 @@ from .series import (
     second_central_diff,
     second_left_diff,
 )
-from .errors import CharacteristicPointNotFound
 from .synthetic import GenSpec, benchmark_estimators, generate
 
 _ENV_DIGITS = "LOGISTIC_HORIZON_DIGITS"
@@ -199,26 +192,14 @@ def _cmd_analyze(args, stdin, stdout, digits) -> int:
     return 0
 
 
-def _run_estimator(args, ts):
-    mode = "paper-rounded" if args.constant == "paper" else args.constant
-    if args.method == "scd":
-        return estimate_scd(ts, mode, args.policy)
-    if args.method == "sld":
-        return estimate_sld(ts, mode, args.policy)
-    if args.method == "order-n":
-        if args.n is None:
-            raise DomainError("--method order-n requires --n")
-        return higher_order_estimate(ts, args.n, mode, args.policy)
-    if args.method == "polyfit":
-        return polyfit_estimate(ts, args.degree, mode)
-    return estimate_nlls(ts)
-
-
 def _cmd_estimate(args, stdin, stdout, digits) -> int:
     ts = _load_series(args, stdin)
     if args.cumulate:
         ts = cumulate(ts)
-    est = _run_estimator(args, ts)
+    if args.method == "order-n" and args.n is None:
+        raise DomainError("--method order-n requires --n")
+    mode = "paper-rounded" if args.constant == "paper" else args.constant
+    est = run_method(args.method, ts, args.n, args.degree, mode, args.policy)
     scale = max(abs(v) for v in ts.values)
     exact = est.u_max_hat
     if scale >= 1000:
@@ -381,13 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common, data], help="difference table and characteristic point")
     p.add_argument("--diff", choices=("scd", "sld"), default="scd")
-    p.add_argument("--policy", choices=("first-local-max", "last-local-max-before-decline", "global-max"), default="first-local-max")
+    p.add_argument("--policy", choices=POLICIES, default="first-local-max")
 
     p = sub.add_parser("estimate", parents=[common, data], help="estimate the saturation level")
-    p.add_argument("--method", choices=("scd", "sld", "polyfit", "nlls", "order-n"), default="scd")
+    p.add_argument("--method", choices=METHODS, default="scd")
     p.add_argument("--n", type=int, default=None, help="derivative order for --method order-n")
     p.add_argument("--constant", choices=("exact", "paper"), default="exact", help="characteristic constant mode")
-    p.add_argument("--policy", choices=("first-local-max", "last-local-max-before-decline", "global-max"), default="first-local-max")
+    p.add_argument("--policy", choices=POLICIES, default="first-local-max")
     p.add_argument("--degree", type=int, default=4, help="polynomial degree for --method polyfit")
     p.add_argument("--format", choices=("json", "text"), default="json")
 

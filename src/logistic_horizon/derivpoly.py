@@ -20,15 +20,21 @@ monomial coefficients alternate and cancel catastrophically near
 u = 1/2 once n gets large.  The monomial coefficients are still carried
 (as exact integers) because several identities are stated through them.
 
+One kernel, with x = u - u1 and y = u - u2, evaluates all of it:
+
+    S(n, x, y; s) = sum_{k<n} A(n, k) * x^{k+s} * y^{n-1-k+s}
+    P_{n+1}(u) = (-1)^n S(n, u, u - 1; 1)
+    d/du S(n, x, y; 1) = S(n + 1, x, y; 0)     (Eulerian recurrence)
+
 Root finding exploits the chain rule.  Differentiating the defining ODE
 gives P_{n+2} = P'_{n+1} * P_2, so
 
     roots(P_{n+2}) = {0, 1} union roots(P'_{n+1})
 
 and by Rolle's theorem each consecutive pair of the n+1 simple roots of
-P_{n+1} brackets exactly one root of P'_{n+1}.  Plain bisection on
-those brackets is therefore exact and certificate-backed; no general
-polynomial solver is involved.
+P_{n+1} brackets exactly one root of P'_{n+1}.  The brackets are
+certified, but bisection on them stops at a width of 1e-13, so small
+roots of high order carry a relative error (see :func:`poly_roots`).
 """
 
 from __future__ import annotations
@@ -104,7 +110,8 @@ def build_poly(n: int) -> DerivativePolynomial:
 
 def eval_poly(p: DerivativePolynomial, u: float) -> float:
     """Value of P_{n+1}(u) through the factored form."""
-    return _eval_factored(p.deriv_order, p.eulerian_row, u)
+    s = _eulerian_sum(p.eulerian_row, p.deriv_order, u, u - 1.0, 1)
+    return -s if p.deriv_order % 2 else s
 
 
 def _check_order(n, minimum):
@@ -123,31 +130,11 @@ def _powers(x: float, top: int) -> list[float]:
     return out
 
 
-def _eval_factored(n: int, row, u: float) -> float:
-    """P_{n+1}(u) = (-1)^n sum_k A(n,k) u^{k+1} (u-1)^{n-k}, fsum'd."""
-    up = _powers(u, n + 1)
-    vp = _powers(u - 1.0, n)
-    s = math.fsum(row[k] * up[k + 1] * vp[n - k] for k in range(n))
-    return -s if n % 2 else s
-
-
-def _eval_factored_deriv(n: int, row, u: float) -> float:
-    """d/du of the factored P_{n+1}, term by term.
-
-    Each product differentiates to
-    (k+1) u^k (u-1)^{n-k} + (n-k) u^{k+1} (u-1)^{n-k-1}; keeping the
-    factored shape preserves the cancellation-free evaluation.
-    """
-    up = _powers(u, n + 1)
-    vp = _powers(u - 1.0, n)
-    terms = []
-    for k in range(n):
-        t = (k + 1) * up[k] * vp[n - k]
-        if n - k - 1 >= 0:
-            t += (n - k) * up[k + 1] * vp[n - k - 1]
-        terms.append(row[k] * t)
-    s = math.fsum(terms)
-    return -s if n % 2 else s
+def _eulerian_sum(row, n: int, x: float, y: float, s: int) -> float:
+    """S(n, x, y; s) = sum_{k<n} A(n,k) x^{k+s} y^{n-1-k+s}, fsum'd."""
+    xp = _powers(x, n - 1 + s)
+    yp = _powers(y, n - 1 + s)
+    return math.fsum(row[k] * xp[k + s] * yp[n - 1 - k + s] for k in range(n))
 
 
 def riccati_nth_derivative(params: RiccatiParams, n: int, u: float) -> float:
@@ -157,12 +144,7 @@ def riccati_nth_derivative(params: RiccatiParams, n: int, u: float) -> float:
         u^(n) = r^n * sum_k A(n,k) (u-u1)^{k+1} (u-u2)^{n-k}
     """
     _check_order(n, minimum=2)
-    row = eulerian_row(n)
-    x = u - params.u1
-    y = u - params.u2
-    xp = _powers(x, n + 1)
-    yp = _powers(y, n)
-    s = math.fsum(row[k] * xp[k + 1] * yp[n - k] for k in range(n))
+    s = _eulerian_sum(eulerian_row(n), n, u - params.u1, u - params.u2, 1)
     return params.r**n * s
 
 
@@ -177,10 +159,7 @@ def logistic_nth_derivative(lp: LogisticParams, n: int, t: float) -> float:
     u = logistic_eval(lp, t)
     if n == 1:
         return lp.c1 * u * (lp.u_max - u)
-    row = eulerian_row(n)
-    up = _powers(u, n + 1)
-    vp = _powers(u - lp.u_max, n)
-    s = math.fsum(row[k] * up[k + 1] * vp[n - k] for k in range(n))
+    s = _eulerian_sum(eulerian_row(n), n, u, u - lp.u_max, 1)
     return (-lp.c1) ** n * s
 
 
@@ -215,9 +194,9 @@ def poly_roots(n: int) -> list[float]:
     against mpmath, the least positive root is off by about 7.5e-14
     relative at n = 3 and 6.6e-7 at n = 25.
 
-    Recursion: starting from roots(P_2) = [0, 1], the inner roots at
-    each level are the zeros of the previous level's derivative,
-    bracketed by that level's roots.
+    Each order is built from the cached order below, from P_2's [0, 1]
+    up: the inner roots of P_{n+1} are the zeros of P'_n, that is of
+    S(n, u, u - 1; 0), one between each pair of roots of P_n.
     """
     _check_order(n, minimum=1)
     return list(_roots(n))
@@ -227,17 +206,15 @@ def poly_roots(n: int) -> list[float]:
 def _roots(n: int) -> tuple[float, ...]:
     # callers validate n first: 3.0 and True hash like 3 and 1 and
     # would otherwise hit the cache; the tuple keeps entries immutable
-    roots = [0.0, 1.0]
-    for m in range(2, n + 1):
-        row = eulerian_row(m - 1)
-        inner = [
-            _bisect_root(
-                lambda u: _eval_factored_deriv(m - 1, row, u), roots[i], roots[i + 1]
-            )
-            for i in range(len(roots) - 1)
-        ]
-        roots = [0.0] + inner + [1.0]
-    return tuple(roots)
+    if n == 1:
+        return (0.0, 1.0)
+    row = eulerian_row(n)
+    below = _roots(n - 1)
+    inner = [
+        _bisect_root(lambda u: _eulerian_sum(row, n, u, u - 1.0, 0), a, b)
+        for a, b in zip(below, below[1:])
+    ]
+    return (0.0, *inner, 1.0)
 
 
 def characteristic_level(n: int) -> float:

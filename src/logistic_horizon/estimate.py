@@ -45,6 +45,7 @@ from .series import (
 )
 
 CONSTANT_MODES = ("exact", "paper-rounded")
+METHODS = ("scd", "sld", "polyfit", "nlls", "order-n")
 
 
 @dataclass(frozen=True)
@@ -409,3 +410,30 @@ def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
         char_point=None,
         diagnostics=diagnostics,
     )
+
+
+def run_method(
+    method: str,
+    ts: TimeSeries,
+    n: int | None = None,
+    degree: int = 4,
+    constant_mode: str = "exact",
+    policy: str = FIRST_LOCAL_MAX,
+) -> SaturationEstimate:
+    """Run the estimator named ``method``, one of :data:`METHODS`.
+
+    ``n`` is the derivative order of "order-n" and ``degree`` the
+    polyfit degree; each estimator takes only the arguments it uses.
+    """
+    # module globals looked up per call: a patched estimator is the one run
+    if method == "scd":
+        return estimate_scd(ts, constant_mode, policy)
+    if method == "sld":
+        return estimate_sld(ts, constant_mode, policy)
+    if method == "polyfit":
+        return polyfit_estimate(ts, degree, constant_mode)
+    if method == "nlls":
+        return estimate_nlls(ts)
+    if method == "order-n":
+        return higher_order_estimate(ts, n, constant_mode, policy)
+    raise DomainError(f"method must be one of {METHODS}, got {method!r}")

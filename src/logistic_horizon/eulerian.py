@@ -1,4 +1,4 @@
-"""Eulerian numbers and the triangle they form.
+"""Eulerian numbers.
 
 The Eulerian number ``A(n, k)`` counts permutations of ``{1, ..., n}``
 with exactly ``k`` ascents (positions ``i`` with ``p[i] < p[i+1]``).
@@ -22,7 +22,6 @@ make concurrent readers safe.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
@@ -98,24 +97,3 @@ def count_ascents(perm: Sequence[int]) -> int:
     if sorted(perm) != list(range(1, n + 1)):
         raise DomainError("input is not a permutation of 1..n")
     return sum(1 for i in range(n - 1) if perm[i] < perm[i + 1])
-
-
-@dataclass(frozen=True)
-class EulerianTriangle:
-    """All rows of the triangle up to and including ``max_n``."""
-
-    max_n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def up_to(cls, max_n: int) -> "EulerianTriangle":
-        if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 0:
-            raise DomainError(f"max_n must be a nonnegative integer, got {max_n!r}")
-        if max_n >= len(_rows):
-            _extend_rows(max_n)
-        return cls(max_n=max_n, rows=tuple(_rows[: max_n + 1]))
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if not 0 <= n <= self.max_n:
-            raise DomainError(f"row {n} not held by this triangle (max {self.max_n})")
-        return self.rows[n]

@@ -97,6 +97,4 @@ def characteristic_time(params: LogisticParams, n: int) -> float:
     """
     from .derivpoly import characteristic_level
 
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise DomainError(f"derivative order must be an integer >= 2, got {n!r}")
     return level_crossing_time(params, characteristic_level(n) * params.u_max)

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CharacteristicPointNotFound, DomainError, LogisticHorizonError
-from .estimate import estimate_nlls, estimate_scd, estimate_sld, polyfit_estimate
+from .estimate import METHODS, run_method
 from .logistic import LogisticParams, logistic_eval
 from .series import TimeSeries
 
@@ -152,19 +152,6 @@ def generate(spec: GenSpec) -> TimeSeries:
     return TimeSeries(labels=tuple(labels), values=tuple(values), kind="cumulative")
 
 
-_BENCH_METHODS = ("scd", "sld", "polyfit", "nlls")
-
-
-def _run_method(method: str, prefix: TimeSeries):
-    if method == "scd":
-        return estimate_scd(prefix)
-    if method == "sld":
-        return estimate_sld(prefix)
-    if method == "polyfit":
-        return polyfit_estimate(prefix, 4)
-    return estimate_nlls(prefix)
-
-
 def benchmark_estimators(specs, truncations) -> list[dict]:
     """Relative-error table of every estimator on every spec prefix.
 
@@ -185,7 +172,8 @@ def benchmark_estimators(specs, truncations) -> list[dict]:
         full = generate(spec)
         for k in truncations:
             prefix = TimeSeries(labels=full.labels[:k], values=full.values[:k], kind="cumulative")
-            for method in _BENCH_METHODS:
+            # every method but order-n, which needs an order
+            for method in METHODS[:-1]:
                 row = {
                     "spec_index": spec_index,
                     "u_max": spec.params.u_max,
@@ -197,7 +185,7 @@ def benchmark_estimators(specs, truncations) -> list[dict]:
                     "status": "ok",
                 }
                 try:
-                    est = _run_method(method, prefix)
+                    est = run_method(method, prefix)
                 except CharacteristicPointNotFound:
                     row["status"] = "not-found"
                 except LogisticHorizonError as exc:

@@ -33,6 +33,118 @@ RHO3 = 0.5 - math.sqrt(3) / 6
 RHO4 = 0.5 - math.sqrt(6) / 6
 RHO5 = 0.5 - math.sqrt(30 * (15 + math.sqrt(105))) / 60
 
+# bit patterns of the fractions at every order and of all roots up to
+# order 14; the inner roots of higher orders may move within the 1e-13
+# bisection width, so they are not pinned
+LEVEL_HEX = {
+    2: "0x1.0000000000000p-1",
+    3: "0x1.b0cb174df9c00p-3",
+    4: "0x1.77d0a3fcf45f8p-4",
+    5: "0x1.52755f7eebb83p-5",
+    6: "0x1.39c2602b12d06p-6",
+    7: "0x1.29111095c6908p-7",
+    8: "0x1.1d8bd87b0e283p-8",
+    9: "0x1.15749327f9932p-9",
+    10: "0x1.0fb15aa6b05a3p-10",
+    11: "0x1.0b8ae75bb0ebep-11",
+    12: "0x1.0886f8a6b6b11p-12",
+    13: "0x1.065235fbf43c6p-13",
+    14: "0x1.04b2c12e62609p-14",
+    15: "0x1.037fd00fdacfep-15",
+    16: "0x1.029c464ce7766p-16",
+    17: "0x1.01f326f585598p-17",
+    18: "0x1.01753055e4676p-18",
+    19: "0x1.011738606d59ep-19",
+    20: "0x1.00d107a5018a5p-20",
+    21: "0x1.009c8deef2aa2p-21",
+    22: "0x1.00754bfba3fa0p-22",
+    23: "0x1.0057e287e129fp-23",
+    24: "0x1.0041e2fd2890ep-24",
+    25: "0x1.00316ec2256fap-25",
+}
+ROOTS_HEX = {
+    1: "0x0.0p+0 0x1.0000000000000p+0",
+    2: "0x0.0p+0 0x1.0000000000000p-1 0x1.0000000000000p+0",
+    3: (
+        "0x0.0p+0 0x1.b0cb174df9c00p-3 0x1.93cd3a2c81900p-1 "
+        "0x1.0000000000000p+0"
+    ),
+    4: (
+        "0x0.0p+0 0x1.77d0a3fcf45f8p-4 0x1.0000000000000p-1 "
+        "0x1.d105eb8061741p-1 0x1.0000000000000p+0"
+    ),
+    5: (
+        "0x0.0p+0 0x1.52755f7eebb83p-5 0x1.34343e6f9e70ap-2 "
+        "0x1.65e5e0c830c7cp-1 0x1.ead8aa0811446p-1 "
+        "0x1.0000000000000p+0"
+    ),
+    6: (
+        "0x0.0p+0 0x1.39c2602b12d06p-6 0x1.718be13749b3ep-3 "
+        "0x1.0000000000000p-1 0x1.a39d07b22d930p-1 "
+        "0x1.f631ecfea7696p-1 0x1.0000000000000p+0"
+    ),
+    7: (
+        "0x0.0p+0 0x1.29111095c6908p-7 0x1.bf2e04c69c712p-4 "
+        "0x1.650557fe7c9e6p-2 0x1.4d7d5400c1b0fp-1 "
+        "0x1.c81a3f672c71ep-1 0x1.fb5bbbbda8e5ap-1 "
+        "0x1.0000000000000p+0"
+    ),
+    8: (
+        "0x0.0p+0 0x1.1d8bd87b0e283p-8 0x1.11dbb2645299ap-4 "
+        "0x1.eef7663c893fdp-3 0x1.ffffffffffd96p-2 "
+        "0x1.84422670ddb03p-1 0x1.ddc489b375acap-1 "
+        "0x1.fdc4e84f09e3bp-1 0x1.0000000000000p+0"
+    ),
+    9: (
+        "0x0.0p+0 0x1.15749327f9932p-9 0x1.5368d18cd0fbcp-5 "
+        "0x1.57d1bff994b1ap-3 0x1.832edc14208a9p-2 "
+        "0x1.3e6891f5efa68p-1 0x1.aa0b90019ad3ap-1 "
+        "0x1.eac972e732f02p-1 0x1.feea8b6cd8068p-1 "
+        "0x1.0000000000000p+0"
+    ),
+    10: (
+        "0x0.0p+0 0x1.0fb15aa6b05a3p-10 0x1.a919a705b0bdep-6 "
+        "0x1.e027dbe529014p-4 0x1.2348d3a88ae75p-2 "
+        "0x1.0000000000058p-1 0x1.6e5b962bba813p-1 "
+        "0x1.c3fb04835adfdp-1 0x1.f2b732c7d27a0p-1 "
+        "0x1.ff782752aca7cp-1 0x1.0000000000000p+0"
+    ),
+    11: (
+        "0x0.0p+0 0x1.0b8ae75bb0ebep-11 0x1.0ca318a0234eep-6 "
+        "0x1.515f7439c4adbp-4 0x1.b62a54c183a5cp-3 "
+        "0x1.979a475e9fe09p-2 0x1.3432dc50b0106p-1 "
+        "0x1.92756acf9f102p-1 0x1.d5d41178c76a2p-1 "
+        "0x1.f79ae73afee58p-1 0x1.ffbd1d462913cp-1 "
+        "0x1.0000000000000p+0"
+    ),
+    12: (
+        "0x0.0p+0 0x1.0886f8a6b6b11p-12 0x1.562667bff73a4p-7 "
+        "0x1.dd1718c9f2dcep-5 0x1.4a461d14b63a0p-3 "
+        "0x1.431d91bd2606ap-2 0x1.ffffffffffcc7p-2 "
+        "0x1.5e7137216cfa3p-1 0x1.ad6e78bad26dap-1 "
+        "0x1.e22e8e7360d20p-1 0x1.faa7666100230p-1 "
+        "0x1.ffdeef20eb292p-1 0x1.0000000000000p+0"
+    ),
+    13: (
+        "0x0.0p+0 0x1.065235fbf43c6p-13 0x1.b6a0cd908939fp-8 "
+        "0x1.5357f922f1099p-5 0x1.f38d0114aaf7ap-4 "
+        "0x1.ffbd4f18959dep-3 0x1.a651473972ba6p-2 "
+        "0x1.2cd75c6346b5ap-1 0x1.8010ac39da956p-1 "
+        "0x1.c18e5fdd6a9e8p-1 0x1.eaca806dd0ef4p-1 "
+        "0x1.fc92be64deed8p-1 0x1.ffef9adca040ap-1 "
+        "0x1.0000000000000p+0"
+    ),
+    14: (
+        "0x0.0p+0 0x1.04b2c12e62609p-14 0x1.1ab51f4de7b34p-8 "
+        "0x1.e55c5ab22657ap-6 0x1.7b37f67368df5p-4 "
+        "0x1.958a8daafc10ap-3 0x1.5b2216287d6f6p-2 "
+        "0x1.ffffffffffe5ep-2 0x1.526ef4ebc1513p-1 "
+        "0x1.9a9d5c9540f90p-1 0x1.d099013192e26p-1 "
+        "0x1.f0d51d2a6ecd4p-1 0x1.fdca95c164306p-1 "
+        "0x1.fff7da69f68ccp-1 0x1.0000000000000p+0"
+    ),
+}
+
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_monomial_coefficients(n):
@@ -122,14 +234,15 @@ def test_roots_first_orders():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_roots_are_simple_and_separated(n):
-    from logistic_horizon.derivpoly import _eval_factored_deriv
+    from logistic_horizon.derivpoly import _eulerian_sum
     from logistic_horizon.eulerian import eulerian_row
 
     roots = poly_roots(n)
     assert len(roots) == n + 1
-    row = eulerian_row(n)
+    # P'_{n+1}(u) is S(n + 1, u, u - 1; 0) up to sign
+    row = eulerian_row(n + 1)
     for r in roots:
-        assert abs(_eval_factored_deriv(n, row, r)) > 0.1
+        assert abs(_eulerian_sum(row, n + 1, r, r - 1.0, 0)) > 0.1
     for a, b in zip(roots, roots[1:]):
         assert b - a > 1e-10
 
@@ -140,6 +253,33 @@ def test_roots_vanish_to_tolerance():
         scale = max(abs(c) for c in p.monomial_coeffs)
         for r in poly_roots(n):
             assert abs(eval_poly(p, r)) <= 1e-9 * scale
+
+
+def test_pinned_levels_and_roots():
+    for n, want in LEVEL_HEX.items():
+        assert characteristic_level(n).hex() == want
+    for n, want in ROOTS_HEX.items():
+        assert [r.hex() for r in poly_roots(n)] == want.split()
+
+
+@pytest.mark.parametrize("n", range(1, MAX_DERIV_ORDER + 1))
+def test_kernel_is_the_derivative(n):
+    # d/du P_{n+1} = (-1)^n S(n + 1, u, u - 1; 0), checked against the
+    # exact derivative of the monomial form at dyadic (exact) points
+    from logistic_horizon.derivpoly import _eulerian_sum
+    from logistic_horizon.eulerian import eulerian_row
+
+    deriv = _poly_deriv(list(build_poly(n).monomial_coeffs))
+    row = eulerian_row(n + 1)
+    sign = -1 if n % 2 else 1
+    for i in range(-32, 97):
+        u = i / 64
+        exact = Fraction(0)
+        for c in reversed(deriv):
+            exact = exact * Fraction(u) + c
+        scale = sum(a * abs(u) ** k * abs(u - 1) ** (n - k) for k, a in enumerate(row[: n + 1]))
+        got = sign * _eulerian_sum(row, n + 1, u, u - 1.0, 0)
+        assert abs(got - float(exact)) <= 1e-12 * scale
 
 
 def test_characteristic_levels():

@@ -1,5 +1,6 @@
 """Saturation estimators: division rules, polynomial trend, logistic fit."""
 
+import io
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from logistic_horizon import (
+    GLOBAL_MAX,
     LAST_LOCAL_MAX_BEFORE_DECLINE,
     CharacteristicPointNotFound,
     DomainError,
@@ -14,6 +16,7 @@ from logistic_horizon import (
     GenSpec,
     LogisticParams,
     TimeSeries,
+    benchmark_estimators,
     characteristic_level,
     cumulate,
     estimate_nlls,
@@ -27,6 +30,9 @@ from logistic_horizon import (
     polyfit_estimate,
     resolve_constant,
 )
+from logistic_horizon import cli
+from logistic_horizon import estimate as estimate_module
+from logistic_horizon.estimate import METHODS, run_method
 
 
 def _window():
@@ -311,3 +317,52 @@ def test_nlls_input_checks():
     nonpos = TimeSeries(tuple("abcde"), (0.0, 1.0, 2.0, 4.0, 8.0), "cumulative")
     with pytest.raises(DomainError):
         fit_logistic_nlls(nonpos)
+
+
+def test_run_method_passes_each_estimator_its_arguments():
+    w = _window()
+    assert run_method("scd", w, constant_mode="paper-rounded") == estimate_scd(w, "paper-rounded")
+    assert run_method("sld", w, policy=GLOBAL_MAX) == estimate_sld(w, "exact", GLOBAL_MAX)
+    assert run_method("polyfit", w, degree=6) == polyfit_estimate(w, 6)
+    assert run_method("nlls", w) == estimate_nlls(w)
+    got = run_method("order-n", w, 4, 4, "paper-rounded", GLOBAL_MAX)
+    assert got == higher_order_estimate(w, 4, "paper-rounded", GLOBAL_MAX)
+    assert METHODS == ("scd", "sld", "polyfit", "nlls", "order-n")
+
+
+def test_run_method_rejects_unknown_methods_and_missing_order():
+    with pytest.raises(DomainError, match="method must be one of"):
+        run_method("bogus", _window())
+    with pytest.raises(DomainError):
+        run_method("order-n", _window())
+    err = io.StringIO()
+    argv = ["estimate", "--fixture", "loyalty-tnlc-window", "--method", "order-n"]
+    assert cli.run(argv, stdout=io.StringIO(), stderr=err) == 1
+    assert err.getvalue() == "error: --method order-n requires --n\n"
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(estimate_module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimate_module, name, counting)
+    return calls
+
+
+def test_callers_reach_estimators_through_the_estimate_module(monkeypatch):
+    # a wrapper installed on the estimate module (a test double, a
+    # tracer) must see the calls of the bench and of the CLI
+    scd = _count_calls(monkeypatch, "estimate_scd")
+    nlls = _count_calls(monkeypatch, "estimate_nlls")
+    spec = GenSpec(LogisticParams(1000.0, 200.0, 0.4), n_points=20)
+    rows = benchmark_estimators([spec], [12, 20])
+    assert [row["method"] for row in rows] == ["scd", "sld", "polyfit", "nlls"] * 2
+    assert len(scd) == len(nlls) == 2
+    for method in ("scd", "nlls"):
+        argv = ["estimate", "--fixture", "loyalty-tnlc-window", "--method", method]
+        assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    assert len(scd) == len(nlls) == 3

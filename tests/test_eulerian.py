@@ -8,7 +8,6 @@ import pytest
 
 from logistic_horizon import (
     DomainError,
-    EulerianTriangle,
     count_ascents,
     eulerian_explicit,
     eulerian_number,
@@ -98,15 +97,6 @@ def test_invalid_indices_rejected():
         eulerian_explicit(3, 4)
     with pytest.raises(DomainError):
         eulerian_row(2.0)
-
-
-def test_triangle_container():
-    tri = EulerianTriangle.up_to(6)
-    assert tri.max_n == 6
-    assert list(tri.row(5)) == KNOWN_ROWS[5]
-    assert len(tri.rows) == 7
-    with pytest.raises(DomainError):
-        tri.row(7)
 
 
 def test_concurrent_row_requests_are_consistent():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from logistic_horizon import (
     FIRST_LOCAL_MAX,
+    MAX_DERIV_ORDER,
     GLOBAL_MAX,
     LAST_LOCAL_MAX_BEFORE_DECLINE,
     POLICIES,
@@ -23,14 +24,21 @@ from logistic_horizon import (
     DomainError,
     GenSpec,
     LogisticParams,
+    RiccatiParams,
     TimeSeries,
+    build_poly,
     estimate_nlls,
     estimate_scd,
     estimate_sld,
+    eulerian_row,
+    eval_poly,
     find_characteristic_point,
     generate,
     higher_order_estimate,
+    logistic_eval,
+    logistic_nth_derivative,
     nth_central_diff,
+    riccati_nth_derivative,
     second_central_diff,
     second_left_diff,
 )
@@ -191,6 +199,45 @@ def _ref_lm_refine(y, u_max, a, c):
             break
     rmse = math.sqrt(sse / len(y))
     return (float(p[0]), float(p[1]), float(p[2])), rmse, converged
+
+
+# the derivative-polynomial sums as each was written out on its own,
+# before they shared one Eulerian kernel
+
+
+def _ref_powers(x, top):
+    out = [1.0] * (top + 1)
+    for i in range(1, top + 1):
+        out[i] = out[i - 1] * x
+    return out
+
+
+def _ref_eval_factored(n, row, u):
+    up = _ref_powers(u, n + 1)
+    vp = _ref_powers(u - 1.0, n)
+    s = math.fsum(row[k] * up[k + 1] * vp[n - k] for k in range(n))
+    return -s if n % 2 else s
+
+
+def _ref_riccati_nth_derivative(params, n, u):
+    row = eulerian_row(n)
+    x = u - params.u1
+    y = u - params.u2
+    xp = _ref_powers(x, n + 1)
+    yp = _ref_powers(y, n)
+    s = math.fsum(row[k] * xp[k + 1] * yp[n - k] for k in range(n))
+    return params.r**n * s
+
+
+def _ref_logistic_nth_derivative(lp, n, t):
+    u = logistic_eval(lp, t)
+    if n == 1:
+        return lp.c1 * u * (lp.u_max - u)
+    row = eulerian_row(n)
+    up = _ref_powers(u, n + 1)
+    vp = _ref_powers(u - lp.u_max, n)
+    s = math.fsum(row[k] * up[k + 1] * vp[n - k] for k in range(n))
+    return (-lp.c1) ** n * s
 
 
 # ---------------------------------------------------------------- stencils
@@ -389,6 +436,37 @@ def test_solve1_singular_system_gives_nan():
         with np.errstate(invalid="ignore"):
             step = _solve1(m, b)
     assert step.shape == (3,) and np.isnan(step).all()
+
+
+# --------------------------------------------------- derivative polynomials
+
+orders = st.integers(1, MAX_DERIV_ORDER)
+moderate = st.floats(-1e3, 1e3) | st.floats(-2.0, 2.0) | coarse
+
+
+@SETTINGS
+@given(orders, moderate)
+def test_eval_poly_matches_reference(n, u):
+    p = build_poly(n)
+    assert eval_poly(p, u).hex() == _ref_eval_factored(n, p.eulerian_row, u).hex()
+
+
+@SETTINGS
+@given(st.integers(2, MAX_DERIV_ORDER), moderate.filter(bool), moderate, moderate, moderate)
+def test_riccati_nth_derivative_matches_reference(n, r, u1, u2, u):
+    if u1 == u2:
+        u2 = u1 + 1.0
+    params = RiccatiParams(r, u1, u2)
+    want = _ref_riccati_nth_derivative(params, n, u)
+    assert riccati_nth_derivative(params, n, u).hex() == want.hex()
+
+
+@SETTINGS
+@given(orders, positive, positive, st.floats(1e-6, 5.0), moderate)
+def test_logistic_nth_derivative_matches_reference(n, u_max, a, c, t):
+    lp = LogisticParams(u_max, a, c)
+    want = _ref_logistic_nth_derivative(lp, n, t)
+    assert logistic_nth_derivative(lp, n, t).hex() == want.hex()
 
 
 # --------------------------------------------------- pinned 10^4-point run
