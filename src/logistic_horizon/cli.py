@@ -126,14 +126,6 @@ def _load_series(args, stdin) -> TimeSeries:
     return read_csv(path, kind)
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -193,11 +185,11 @@ def _cmd_analyze(args, stdin, stdout, digits) -> int:
 
 
 def _cmd_estimate(args, stdin, stdout, digits) -> int:
+    if args.method == "order-n" and args.n is None:
+        raise DomainError("--method order-n requires --n")
     ts = _load_series(args, stdin)
     if args.cumulate:
         ts = cumulate(ts)
-    if args.method == "order-n" and args.n is None:
-        raise DomainError("--method order-n requires --n")
     mode = "paper-rounded" if args.constant == "paper" else args.constant
     est = run_method(args.method, ts, args.n, args.degree, mode, args.policy)
     scale = max(abs(v) for v in ts.values)
@@ -215,14 +207,14 @@ def _cmd_estimate(args, stdin, stdout, digits) -> int:
         "char_index": None if point is None else point.index,
         "char_label": None if point is None else point.label,
         "char_value": None if point is None else point.series_value,
-        "diagnostics": _json_safe(est.diagnostics),
+        "diagnostics": est.diagnostics,
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2), file=stdout)
     else:
         for key, value in payload.items():
             if key == "diagnostics":
-                print(f"{key}: {json.dumps(_json_safe(value))}", file=stdout)
+                print(f"{key}: {json.dumps(value)}", file=stdout)
             else:
                 print(f"{key}: {value}", file=stdout)
     return 0
@@ -297,7 +289,7 @@ def _cmd_bench(args, stdin, stdout, digits) -> int:
             raise ParseError(f"{args.config}: bad spec at index {i}: {exc}") from None
     rows = benchmark_estimators(specs, truncations)
     if args.format == "json":
-        print(json.dumps(_json_safe(rows), indent=2), file=stdout)
+        print(json.dumps(rows, indent=2), file=stdout)
         return 0
     writer = _csv.writer(stdout, lineterminator="\n")
     header = ["spec_index", "u_max", "n_points", "truncation", "method", "u_max_hat", "rel_error", "status"]

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import BracketError, DomainError
+from .errors import BracketError, DomainError, require_int
 from .eulerian import eulerian_row
 from .logistic import LogisticParams, logistic_eval
 
@@ -115,8 +115,7 @@ def eval_poly(p: DerivativePolynomial, u: float) -> float:
 
 
 def _check_order(n, minimum):
-    if not isinstance(n, int) or isinstance(n, bool) or n < minimum:
-        raise DomainError(f"derivative order must be an integer >= {minimum}, got {n!r}")
+    require_int(n, "derivative order", minimum)
     if n > MAX_DERIV_ORDER:
         raise DomainError(
             f"derivative order {n} exceeds the construction cap {MAX_DERIV_ORDER}"

@@ -16,6 +16,14 @@ class DomainError(LogisticHorizonError, ValueError):
     """An argument was outside the documented domain of an operation."""
 
 
+def require_int(value, what: str, minimum: int | None = None) -> None:
+    """Raise DomainError unless ``value`` is an int, not a bool, and at least ``minimum``."""
+    bad = not isinstance(value, int) or isinstance(value, bool)
+    if bad or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise DomainError(f"{what} must be an integer{bound}, got {value!r}")
+
+
 class NumericalError(LogisticHorizonError):
     """A computation could not be completed to acceptable accuracy."""
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,7 +33,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .derivpoly import characteristic_level
-from .errors import DomainError, EstimationError, NumericalError
+from .errors import DomainError, EstimationError, NumericalError, require_int
 from .logistic import LogisticParams
 from .series import (
     FIRST_LOCAL_MAX,
@@ -76,7 +77,6 @@ class PolyFit:
 
 
 def _horner(cs, x):
-    # x may be a float or an array; each step rounds as in scalar code
     acc = 0.0
     for c in reversed(cs):
         acc = acc * x + c
@@ -114,12 +114,16 @@ def _division_estimate(ts, ds, n, method, constant_mode, policy) -> SaturationEs
     observed_max = float(ts.array.max())
     exceeds = u_max_hat > observed_max
     if not exceeds:
+        # name the first caller outside this package, however deep the dispatch
+        frame, level = sys._getframe(1), 2
+        while frame and frame.f_globals.get("__name__", "").startswith("logistic_horizon."):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"estimated saturation level {u_max_hat:g} does not exceed the largest "
             f"observed value {observed_max:g}; the series may already be saturated "
             "or the detected point may be spurious",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
     diagnostics = {
         "constant_mode": constant_mode,
@@ -167,8 +171,7 @@ def higher_order_estimate(
     points (smaller fractions of the saturation level) at the price of
     noisier differences.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise DomainError(f"derivative order must be an integer >= 3, got {n!r}")
+    require_int(n, "derivative order", 3)
     if n == 3:
         return estimate_scd(ts, constant_mode, policy)
     if len(ts) < n + 2:
@@ -184,8 +187,7 @@ def fit_polynomial_lsm(ts: TimeSeries, degree: int) -> PolyFit:
     the raw normal equations, so the Vandermonde conditioning of longer
     windows does not poison the coefficients.
     """
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 2:
-        raise DomainError(f"degree must be an integer >= 2, got {degree!r}")
+    require_int(degree, "degree", 2)
     n = len(ts)
     if n <= degree:
         raise DomainError(f"need more points than the degree: {n} points for degree {degree}")
@@ -217,30 +219,19 @@ def _argmax_second_derivative(fit: PolyFit) -> float:
         return min(max(vertex, float(lo)), float(hi))
 
     d3 = fit.derivative_coeffs(3)
-    xs = np.linspace(lo, hi, 2001)
-    vals = _horner(d2, xs)
-    top, bottom = float(vals.max()), float(vals.min())
+    if not all(map(math.isfinite, d3)):
+        raise NumericalError("third derivative of the fit has non-finite coefficients")
+    # f'' peaks at a real root of f''' inside the window or at an end
+    xs = [float(r.real) for r in np.roots(d3[::-1]) if r.imag == 0 and lo < r.real < hi]
+    xs += [float(lo), float(hi)]
+    vals = [_horner(d2, x) for x in xs]
+    top, bottom = max(vals), min(vals)
     if top - bottom <= 1e-9 * max(abs(top), abs(bottom), 1e-300):
         raise EstimationError(
             "second derivative of the fit is effectively constant; "
             "no interior maximum to locate"
         )
-    i = int(np.argmax(vals))
-    if 0 < i < len(xs) - 1:
-        a, b = float(xs[i - 1]), float(xs[i + 1])
-        fa, fb = _horner(d3, a), _horner(d3, b)
-        if fa > 0 > fb:
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = _horner(d3, mid)
-                if fm == 0.0:
-                    return mid
-                if fm > 0:
-                    a = mid
-                else:
-                    b = mid
-            return 0.5 * (a + b)
-    return float(xs[i])
+    return xs[vals.index(top)]
 
 
 def polyfit_estimate(
@@ -249,7 +240,8 @@ def polyfit_estimate(
     """Estimate through a polynomial trend: fit, find where its second
     derivative peaks, divide the fitted level there by the
     third-derivative fraction."""
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 4 or degree % 2:
+    require_int(degree, "degree", 4)
+    if degree % 2:
         raise DomainError(f"degree must be an even integer >= 4, got {degree!r}")
     fit = fit_polynomial_lsm(ts, degree)
     x_star = _argmax_second_derivative(fit)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 # rows[n] is the full row (A(n,0), ..., A(n,n)); grown on demand
 _rows: list[tuple[int, ...]] = [(1,)]
@@ -47,8 +47,7 @@ def eulerian_row(n: int) -> list[int]:
 
     The final entry is 0 for every ``n >= 1``.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"row index must be a nonnegative integer, got {n!r}")
+    require_int(n, "row index", 0)
     if n >= len(_rows):
         _extend_rows(n)
     return list(_rows[n])
@@ -59,10 +58,8 @@ def eulerian_number(n: int, k: int) -> int:
 
     ``k`` outside ``[0, n)`` yields 0 for ``n >= 1``; ``A(0, 0)`` is 1.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
+    require_int(n, "n", 0)
+    require_int(k, "k", 0)
     if k > n:
         return 0
     if n >= len(_rows):
@@ -80,9 +77,9 @@ def eulerian_explicit(n: int, k: int) -> int:
     """
     from math import comb
 
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= n:
+    require_int(n, "n", 0)
+    require_int(k, "k", 0)
+    if k > n:
         raise DomainError(f"k must satisfy 0 <= k <= n, got k={k!r} for n={n}")
     total = 0
     for j in range(k + 1):

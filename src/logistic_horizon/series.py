@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import CharacteristicPointNotFound, DomainError
+from .errors import CharacteristicPointNotFound, DomainError, require_int
 
 SERIES_KINDS = ("raw", "cumulative")
 
@@ -170,8 +170,7 @@ def nth_central_diff(ts: TimeSeries, order: int) -> DiffSeries:
     slot (including the halving, which detectors do not care about but
     golden tables do).
     """
-    if not isinstance(order, int) or isinstance(order, bool) or order < 2:
-        raise DomainError(f"difference order must be an integer >= 2, got {order!r}")
+    require_int(order, "difference order", 2)
     _require_length(ts, order + 1)
     y = ts.array
     m = len(y) - order

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CharacteristicPointNotFound, DomainError, LogisticHorizonError
+from .errors import CharacteristicPointNotFound, DomainError, LogisticHorizonError, require_int
 from .estimate import METHODS, run_method
 from .logistic import LogisticParams, logistic_eval
 from .series import TimeSeries
@@ -88,16 +88,11 @@ def normal_icdf(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
     a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    if p < _ICDF_PLOW:
-        q = math.sqrt(-2.0 * math.log(p))
+    if p < _ICDF_PLOW or p > 1.0 - _ICDF_PLOW:
+        q = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
         num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
         den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        return num / den
-    if p > 1.0 - _ICDF_PLOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        return -num / den
+        return num / den if p < 0.5 else -num / den
     q = p - 0.5
     r = q * q
     num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
@@ -121,16 +116,14 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_points, int) or isinstance(self.n_points, bool) or self.n_points < 3:
-            raise DomainError(f"n_points must be an integer >= 3, got {self.n_points!r}")
+        require_int(self.n_points, "n_points", 3)
         if not (self.t_step > 0) or not math.isfinite(self.t_step):
             raise DomainError(f"t_step must be positive and finite, got {self.t_step!r}")
         if not math.isfinite(self.t_start):
             raise DomainError(f"t_start must be finite, got {self.t_start!r}")
         if self.noise_sd < 0 or not math.isfinite(self.noise_sd):
             raise DomainError(f"noise_sd must be >= 0 and finite, got {self.noise_sd!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise DomainError(f"seed must be an integer, got {self.seed!r}")
+        require_int(self.seed, "seed")
 
 
 def generate(spec: GenSpec) -> TimeSeries:
@@ -163,10 +156,9 @@ def benchmark_estimators(specs, truncations) -> list[dict]:
     truncations = list(truncations)
     for spec in specs:
         for k in truncations:
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > spec.n_points:
-                raise DomainError(
-                    f"truncation {k!r} must be an integer in [1, n_points={spec.n_points}]"
-                )
+            require_int(k, "truncation", 1)
+            if k > spec.n_points:
+                raise DomainError(f"truncation {k} must lie in [1, n_points={spec.n_points}]")
     rows = []
     for spec_index, spec in enumerate(specs):
         full = generate(spec)

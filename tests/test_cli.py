@@ -121,6 +121,20 @@ def test_estimate_order_n_requires_n():
     assert "requires --n" in err
 
 
+class _UnreadableStdin:
+    def __iter__(self):
+        raise AssertionError("stdin was read")
+
+
+def test_estimate_order_n_checks_n_before_reading_input(tmp_path):
+    for source in ([], [str(tmp_path / "missing.csv")]):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["estimate", *source, "--method", "order-n"]
+        assert run(argv, stdin=_UnreadableStdin(), stdout=out, stderr=err) == 1
+        assert err.getvalue() == "error: --method order-n requires --n\n"
+        assert out.getvalue() == ""
+
+
 def test_analyze_table_and_point():
     rc, out, _ = _run(["analyze", "--fixture", "loyalty-tnlc-window"])
     assert rc == 0

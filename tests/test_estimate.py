@@ -1,7 +1,9 @@
 """Saturation estimators: division rules, polynomial trend, logistic fit."""
 
 import io
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +14,11 @@ from logistic_horizon import (
     LAST_LOCAL_MAX_BEFORE_DECLINE,
     CharacteristicPointNotFound,
     DomainError,
+    FIXTURE_NAMES,
     EstimationError,
     GenSpec,
     LogisticParams,
+    NumericalError,
     TimeSeries,
     benchmark_estimators,
     characteristic_level,
@@ -194,26 +198,93 @@ def test_polyfit_estimate_quartic_vertex():
 
 
 def test_polyfit_estimate_degree_six_path():
-    # degree 6 fit of quartic data reduces to the quartic; the grid and
-    # bisection search must land on the same interior maximum
+    # degree 6 fit of quartic data reduces to the quartic; the critical
+    # points of f'' must include the same interior maximum
     est = polyfit_estimate(_quartic_series(), degree=6)
     assert est.diagnostics["x_star"] == pytest.approx(1.0, abs=1e-6)
     assert est.diagnostics["f_x_star"] == pytest.approx(13.0, rel=1e-6)
 
 
 @pytest.mark.parametrize(
-    "degree, u_max_hat", [(6, "0x1.849c9e1e21a9fp+10"), (8, "0x1.c55fa6d4f83c7p+4")]
+    "degree, u_max_hat", [(6, "0x1.849c9e1e21aa2p+10"), (8, "0x1.c55fa6d4f83c7p+4")]
 )
 def test_polyfit_estimate_returns_python_scalars(degree, u_max_hat):
-    # at degree 6 the grid-and-bisection search once handed back numpy
-    # scalars here; the values are pinned from that code, bit for bit
-    est = polyfit_estimate(cumulate(get_fixture("medical-qmd").series), degree=degree)
+    # a grid-and-bisection search once handed back numpy scalars here at
+    # degree 6; the values are pinned from the exact critical points
+    ts = cumulate(get_fixture("medical-qmd").series)
+    est = polyfit_estimate(ts, degree=degree)
     diag = est.diagnostics
     assert est.u_max_hat.hex() == u_max_hat
+    assert _peak_error(diag["coefficients"], len(ts) - 1, diag["f_x_star"]) <= 1e-10
     assert type(est.u_max_hat) is float and type(est.constant_used) is float
     assert type(diag["x_star"]) is float and type(diag["f_x_star"]) is float
     assert all(type(c) is float for c in diag["coefficients"])
     assert type(diag["exceeds_max_observed"]) is bool
+
+
+def _peak_error(coefficients, hi, f_x_star):
+    """Relative error of f_x_star against f at the maximum of f'' on
+    [0, hi], found to 50 digits among the real roots of f''' inside the
+    window and the two ends, with the float coefficients taken exactly."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        f = [mp.mpf(c) for c in coefficients]
+        d2 = [i * (i - 1) * c for i, c in enumerate(f)][2:]
+        d3 = [i * c for i, c in enumerate(d2)][1:]
+        roots = mp.polyroots(d3[::-1], maxsteps=200, extraprec=200)
+        xs = [mp.re(r) for r in roots if abs(mp.im(r)) < 1e-30 and 0 < mp.re(r) < hi]
+        x = max(xs + [mp.mpf(0), mp.mpf(hi)], key=lambda x: mp.polyval(d2[::-1], x))
+        exact = mp.polyval(f[::-1], x)
+        return float(abs((f_x_star - exact) / exact))
+
+
+def _fixture_windows(min_len):
+    # every window of every fixture, as given and, for raw counts, cumulated
+    for name in FIXTURE_NAMES:
+        given = get_fixture(name).series
+        kinds = [("given", given)]
+        if given.kind == "raw":
+            kinds.append(("cumulated", cumulate(given)))
+        for tag, s in kinds:
+            for i in range(len(s)):
+                for j in range(i + min_len, len(s) + 1):
+                    yield (name, tag, i, j), TimeSeries(s.labels[i:j], s.values[i:j], "cumulative")
+
+
+# raw loyalty-nlc windows whose peak of f'' lies inside the first or last
+# of 2000 grid steps, where a grid search picked the end instead
+_NEAR_END_PEAKS = {
+    (("loyalty-nlc", "given", 38, 51), 6): 12.0,
+    (("loyalty-nlc", "given", 43, 73), 6): 0.0,
+    (("loyalty-nlc", "given", 41, 57), 8): 0.0,
+}
+
+
+def test_polyfit_peak_matches_the_exact_critical_points():
+    windows = dict(_fixture_windows(9))
+    cases = random.Random(8).sample(sorted(itertools.product(windows, (6, 8))), 150)
+    for key, degree in cases + sorted(_NEAR_END_PEAKS):
+        w = windows[key]
+        try:
+            est = polyfit_estimate(w, degree)
+        except (EstimationError, NumericalError):
+            continue
+        diag = est.diagnostics
+        hi = len(w) - 1
+        assert _peak_error(diag["coefficients"], hi, diag["f_x_star"]) <= 1e-10, (key, degree)
+        if (key, degree) in _NEAR_END_PEAKS:
+            d2 = fit_polynomial_lsm(w, degree).derivative_coeffs(2)
+            end = _NEAR_END_PEAKS[key, degree]
+            assert 0.0 < diag["x_star"] < hi
+            assert estimate_module._horner(d2, diag["x_star"]) > estimate_module._horner(d2, end)
+
+
+def test_polyfit_refuses_non_finite_derivative_coefficients():
+    vals = tuple((-1.0) ** i * 1e308 for i in range(12))
+    ts = TimeSeries(tuple(str(i) for i in range(12)), vals, "cumulative")
+    with pytest.raises(NumericalError, match="non-finite"):
+        polyfit_estimate(ts, degree=8)
 
 
 def test_polyfit_estimate_on_window():
@@ -366,3 +437,20 @@ def test_callers_reach_estimators_through_the_estimate_module(monkeypatch):
         argv = ["estimate", "--fixture", "loyalty-tnlc-window", "--method", method]
         assert cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
     assert len(scd) == len(nlls) == 3
+
+
+def test_below_max_warning_names_the_caller():
+    # however many package frames the dispatch adds, the warning points
+    # at the line that called into the package
+    ts = get_fixture("mobile-slovakia").series
+    calls = [
+        lambda: estimate_scd(ts),
+        lambda: estimate_sld(ts),
+        lambda: higher_order_estimate(ts, 3),
+        lambda: run_method("scd", ts),
+        lambda: run_method("order-n", ts, n=3),
+    ]
+    for call in calls:
+        with pytest.warns(RuntimeWarning, match="does not exceed the largest") as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
