@@ -146,9 +146,7 @@ def _cmd_roots(args, stdin, stdout, digits) -> int:
 
 
 def _diff_of(args, ts):
-    if args.diff == "sld":
-        return second_left_diff(ts)
-    return second_central_diff(ts)
+    return second_left_diff(ts) if args.diff == "sld" else second_central_diff(ts)
 
 
 def _print_point(point: CharacteristicPoint, stdout, digits, prefix="characteristic point"):
@@ -169,8 +167,7 @@ def _cmd_analyze(args, stdin, stdout, digits) -> int:
         ts = cumulate(ts)
     ds = _diff_of(args, ts)
     print("label\tt\tvalue\tdiff", file=stdout)
-    for i, label in enumerate(ts.labels):
-        d = ds.values[i]
+    for i, (label, d) in enumerate(zip(ts.labels, ds.values)):
         cell = "" if d is None else _fmt(d, digits)
         print(f"{label}\t{i}\t{_fmt(ts.values[i], digits)}\t{cell}", file=stdout)
     try:

@@ -196,11 +196,10 @@ def fit_polynomial_lsm(ts: TimeSeries, degree: int) -> PolyFit:
     coeffs, _, rank, _ = np.linalg.lstsq(design, ts.array, rcond=None)
     if rank < degree + 1:
         raise NumericalError(f"design matrix rank {rank} below {degree + 1}; fit is not unique")
-    return PolyFit(
-        degree=degree,
-        coefficients=tuple(float(c) for c in coeffs),
-        domain=(0, n - 1),
-    )
+    coefficients = tuple(coeffs.tolist())
+    if not all(map(math.isfinite, coefficients)):
+        raise NumericalError("least-squares coefficients are non-finite")
+    return PolyFit(degree=degree, coefficients=coefficients, domain=(0, n - 1))
 
 
 def _argmax_second_derivative(fit: PolyFit) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -76,28 +76,33 @@ class TimeSeries:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an ndarray cannot take part in == or hash
 class DiffSeries:
     """A difference transform of a series, aligned index-for-index.
 
-    values has one slot per source observation; slots where the stencil
-    would reach outside the series hold None instead of a number.  kind
-    is "scd", "sld", or "central-k" for the order-k generalization.
-    array is values as a read-only float64 array, nan for None.
+    array is a read-only float64 copy of what it is given, one slot per
+    source observation, nan (None in a tuple) where the stencil would
+    reach outside the series.  kind is "scd", "sld" or "central-k" (order k).
     """
 
     source: TimeSeries
     kind: str
-    values: tuple = field(default=())
-    array: np.ndarray = field(init=False, repr=False, compare=False)
-    stencil: InitVar[np.ndarray | None] = None  # the array a stencil computed, if any
+    array: np.ndarray
 
-    def __post_init__(self, stencil):
-        if len(self.values) != len(self.source):
+    def __post_init__(self):
+        a = np.array(self.array, dtype=float)
+        if a.shape != (len(self.source),):
             raise DomainError("diff values must align with the source series")
-        a = np.array(self.values, dtype=float) if stencil is None else stencil
         a.setflags(write=False)
         object.__setattr__(self, "array", a)
+
+    def __reduce__(self):  # pickle and copy go through __init__: a fresh read-only array
+        return type(self), (self.source, self.kind, self.array)
+
+    @property
+    def values(self) -> tuple:
+        """The array as a tuple, None where it is nan; every read builds a new tuple."""
+        return tuple(None if v != v else v for v in self.array.tolist())
 
 
 @dataclass(frozen=True)
@@ -147,8 +152,7 @@ def _padded(ts: TimeSeries, kind: str, inner: np.ndarray, lead: int) -> DiffSeri
     a = np.empty(len(ts))
     a.fill(np.nan)
     a[lead : lead + len(inner)] = inner
-    values = (None,) * lead + tuple(inner.tolist()) + (None,) * (len(a) - lead - len(inner))
-    return DiffSeries(source=ts, kind=kind, values=values, stencil=a)
+    return DiffSeries(ts, kind, a)
 
 
 def second_central_diff(ts: TimeSeries) -> DiffSeries:
@@ -177,6 +181,7 @@ def nth_central_diff(ts: TimeSeries, order: int) -> DiffSeries:
     acc = np.zeros(m)
     for j in range(order + 1):
         acc = acc + (-1) ** j * comb(order, j) * y[order - j : order - j + m]
+    acc[acc != acc] = np.nan  # inf - inf gives -nan; store the plain nan that None converts to
     return _padded(ts, "scd" if order == 2 else f"central-{order}", acc / 2.0, order // 2)
 
 
@@ -205,7 +210,7 @@ def _make_point(ds: DiffSeries, a: np.ndarray, maxima: np.ndarray, index: int, p
     return CharacteristicPoint(
         index=index,
         label=ds.source.labels[index],
-        diff_value=ds.values[index],
+        diff_value=float(a[index]),
         series_value=ds.source.values[index],
         policy_used=policy,
         ambiguity=_ambiguity(index, a, maxima),

@@ -287,6 +287,23 @@ def test_polyfit_refuses_non_finite_derivative_coefficients():
         polyfit_estimate(ts, degree=8)
 
 
+@pytest.mark.parametrize("degree", [6, 8])
+def test_least_squares_refuses_non_finite_coefficients(degree):
+    # full rank, but the lstsq solution overflows to inf
+    vals = tuple((-1.0) ** i * 1e308 for i in range(12))
+    ts = TimeSeries(tuple(str(i) for i in range(12)), vals, "cumulative")
+    with pytest.raises(NumericalError, match="least-squares coefficients are non-finite"):
+        fit_polynomial_lsm(ts, degree)
+
+
+def test_polyfit_refuses_finite_fit_whose_third_derivative_overflows():
+    vals = tuple((-1.0) ** i * 1e306 for i in range(7))
+    ts = TimeSeries(tuple(str(i) for i in range(7)), vals, "cumulative")
+    assert all(map(math.isfinite, fit_polynomial_lsm(ts, 6).coefficients))
+    with pytest.raises(NumericalError, match="third derivative of the fit has non-finite"):
+        polyfit_estimate(ts, degree=6)
+
+
 def test_polyfit_estimate_on_window():
     est = polyfit_estimate(_window(), constant_mode="paper-rounded")
     assert est.u_max_hat == 507452.6253598521

@@ -21,6 +21,7 @@ from logistic_horizon import (
     cumulate,
     find_characteristic_point,
     get_fixture,
+    higher_order_estimate,
     level_crossing_time,
     nth_central_diff,
     second_central_diff,
@@ -112,13 +113,53 @@ def test_diff_series_array_follows_values():
     ts = TimeSeries(tuple("abcdef"), (1.0, 2.0, 4.0, 7.0, 9.0, 10.0), "cumulative")
     for ds in (second_central_diff(ts), second_left_diff(ts), nth_central_diff(ts, 3)):
         _bit_equal(ds.array, ds.values)
-        by_hand = DiffSeries(source=ts, kind=ds.kind, values=ds.values)
+        # one constructor: a tuple with None gives the stencil's array byte for byte
+        by_hand = DiffSeries(source=ts, kind=ds.kind, array=ds.values)
         _bit_equal(by_hand.array, by_hand.values)
-        assert by_hand == ds and hash(by_hand) == hash(ds) and "array" not in repr(ds)
+        assert by_hand.array.tobytes() == ds.array.tobytes()
+        # equality and hash are by identity; repr shows the array
+        assert by_hand != ds and ds == ds and hash(ds) == object.__hash__(ds)
+        assert "array=array([" in repr(ds)
         clone = pickle.loads(pickle.dumps(ds))
-        assert clone == ds and clone.array.tobytes() == ds.array.tobytes()
-        moved = dataclasses.replace(ds, values=(None, 5.0, 6.0, 7.0, 8.0, None))
+        assert clone.array.tobytes() == ds.array.tobytes() and clone.values == ds.values
+        moved = dataclasses.replace(ds, array=(None, 5.0, 6.0, 7.0, 8.0, None))
         _bit_equal(moved.array, moved.values)
+        with pytest.raises(DomainError, match="diff values must align with the source series"):
+            dataclasses.replace(ds, array=ds.values[:-1])
+        with pytest.raises(DomainError, match="diff values must align with the source series"):
+            dataclasses.replace(ds, array=np.zeros((2, 3)))
+
+
+def test_diff_series_copies_the_array_it_is_given():
+    ts = TimeSeries(tuple("abcde"), (1.0, 2.0, 4.0, 7.0, 9.0), "cumulative")
+    given = np.array([np.nan, 1.0, 2.0, 0.5, np.nan])
+    ds = DiffSeries(ts, "scd", given)
+    assert given.flags.writeable and ds.array is not given
+    given[1] = 99.0
+    assert ds.values == (None, 1.0, 2.0, 0.5, None)
+    assert find_characteristic_point(ds).index == 2
+    _bit_equal(ds.array, ds.values)
+
+
+def test_diff_series_pickle_and_copy_keep_a_read_only_array():
+    ts = TimeSeries(tuple("abcdef"), (1.0, 2.0, 4.0, 7.0, 9.0, 10.0), "cumulative")
+    ds = second_central_diff(ts)
+    for clone in (pickle.loads(pickle.dumps(ds)), copy.copy(ds), copy.deepcopy(ds)):
+        _bit_equal(clone.array, ds.values)
+        assert clone.array.tobytes() == ds.array.tobytes() and clone.values == ds.values
+        assert (clone.source, clone.kind) == (ds.source, ds.kind)
+
+
+def test_overflowed_stencil_slots_read_none():
+    # inf - inf in the order-3 stencil leaves nan in every computed slot
+    ds = nth_central_diff(TimeSeries(tuple("abcdefgh"), (1e308,) * 8, "cumulative"), 3)
+    assert ds.values == (None,) * 8
+    assert np.isnan(ds.array).all()
+    # the stencil's nan is the one a hand-built None becomes, bit for bit
+    assert DiffSeries(ds.source, ds.kind, ds.values).array.tobytes() == ds.array.tobytes()
+    for order in (4, 5):
+        with pytest.raises(DomainError, match="need at least 3 defined difference values, got 0"):
+            higher_order_estimate(ds.source, order)
 
 
 def test_time_series_accepts_finite_values_whose_sum_overflows():
@@ -255,7 +296,7 @@ def test_convex_series_has_no_local_max():
 def test_global_max_policy_takes_earliest_tie():
     values = (None, 1.0, 5.0, 2.0, 5.0, 3.0, None)
     src = TimeSeries(tuple(str(i) for i in range(7)), tuple(range(7)), "raw")
-    ds = DiffSeries(source=src, kind="scd", values=values)
+    ds = DiffSeries(source=src, kind="scd", array=values)
     point = find_characteristic_point(ds, GLOBAL_MAX)
     assert point.index == 2
 
@@ -288,7 +329,7 @@ def test_ambiguity_absent_for_clear_winner():
     # monotone after the peak: no rival maxima, nothing within a quarter span
     values = (None, 0.0, 10.0, 3.0, 2.0, 1.0, None)
     src = TimeSeries(tuple(str(i) for i in range(7)), tuple(range(7)), "raw")
-    ds = DiffSeries(source=src, kind="scd", values=values)
+    ds = DiffSeries(source=src, kind="scd", array=values)
     point = find_characteristic_point(ds)
     assert point.index == 2
     assert point.ambiguity == ()
@@ -297,7 +338,7 @@ def test_ambiguity_absent_for_clear_winner():
 def test_ambiguity_includes_rival_local_max_even_when_far():
     values = (None, 0.0, 10.0, 0.0, 0.5, 0.2, None)
     src = TimeSeries(tuple(str(i) for i in range(7)), tuple(range(7)), "raw")
-    ds = DiffSeries(source=src, kind="scd", values=values)
+    ds = DiffSeries(source=src, kind="scd", array=values)
     point = find_characteristic_point(ds)
     assert point.index == 2
     assert dict(point.ambiguity) == {4: 0.5}
