@@ -53,6 +53,7 @@ from .series import (
     FIRST_LOCAL_MAX,
     GLOBAL_MAX,
     LAST_LOCAL_MAX_BEFORE_DECLINE,
+    MAX_RIVALS,
     POLICIES,
     CharacteristicPoint,
     DiffSeries,
@@ -118,6 +119,7 @@ __all__ = [
     "FIRST_LOCAL_MAX",
     "GLOBAL_MAX",
     "LAST_LOCAL_MAX_BEFORE_DECLINE",
+    "MAX_RIVALS",
     "POLICIES",
     "CharacteristicPoint",
     "DiffSeries",

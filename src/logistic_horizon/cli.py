@@ -167,9 +167,9 @@ def _cmd_analyze(args, stdin, stdout, digits) -> int:
         ts = cumulate(ts)
     ds = _diff_of(args, ts)
     print("label\tt\tvalue\tdiff", file=stdout)
-    for i, (label, d) in enumerate(zip(ts.labels, ds.values)):
+    for i, (label, v, d) in enumerate(zip(ts.labels, ts.values, ds.values)):
         cell = "" if d is None else _fmt(d, digits)
-        print(f"{label}\t{i}\t{_fmt(ts.values[i], digits)}\t{cell}", file=stdout)
+        print(f"{label}\t{i}\t{_fmt(v, digits)}\t{cell}", file=stdout)
     try:
         point = find_characteristic_point(ds, args.policy)
     except CharacteristicPointNotFound as exc:
@@ -189,7 +189,7 @@ def _cmd_estimate(args, stdin, stdout, digits) -> int:
         ts = cumulate(ts)
     mode = "paper-rounded" if args.constant == "paper" else args.constant
     est = run_method(args.method, ts, args.n, args.degree, mode, args.policy)
-    scale = max(abs(v) for v in ts.values)
+    scale = abs(ts.array).max()
     exact = est.u_max_hat
     if scale >= 1000:
         display = math.trunc(exact)

@@ -17,8 +17,8 @@ and any calendar bookkeeping lives in the labels.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -31,49 +31,54 @@ FIRST_LOCAL_MAX = "first-local-max"
 LAST_LOCAL_MAX_BEFORE_DECLINE = "last-local-max-before-decline"
 GLOBAL_MAX = "global-max"
 POLICIES = (FIRST_LOCAL_MAX, LAST_LOCAL_MAX_BEFORE_DECLINE, GLOBAL_MAX)
+MAX_RIVALS = 100  # the longest rival list on any fixture window has 74
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TimeSeries:
     """Labelled, equally spaced observations.
 
     kind says how the values are to be read: "raw" for per-period
     increments, "cumulative" for running levels.  Estimators that
-    assume a level series check this field.  array is values as a
-    read-only float64 array, made once here; ==, hash and repr skip it.
+    assume a level series check this field.  A series holds its values
+    once, as the read-only float64 array `array`; `values` is built from
+    it when read, as a new tuple of floats each time.  ==, hash, repr
+    and dataclasses.replace go by labels, values and kind.
     """
 
     labels: tuple[str, ...]
-    values: tuple[float, ...]
+    values: tuple[float, ...]  # the property below; a field for ==, hash, repr and replace
     kind: str = "raw"
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if set(map(type, self.labels)) - {str}:  # exact str labels stay as given
-            object.__setattr__(self, "labels", tuple(map(str, self.labels)))
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
-        if len(self.labels) != len(self.values):
-            raise DomainError(
-                f"labels and values differ in length ({len(self.labels)} vs {len(self.values)})"
-            )
-        if len(self.values) == 0:
+    def __init__(self, labels, values, kind: str = "raw"):
+        labels = tuple(labels)
+        if set(map(type, labels)) - {str}:  # exact str labels stay as given
+            labels = tuple(map(str, labels))
+        y = np.fromiter(values, float)  # each value as float() reads it; None becomes nan
+        if len(labels) != len(y):
+            raise DomainError(f"labels and values differ in length ({len(labels)} vs {len(y)})")
+        if len(y) == 0:
             raise DomainError("series must contain at least one observation")
-        if self.kind not in SERIES_KINDS:
-            raise DomainError(f"kind must be one of {SERIES_KINDS}, got {self.kind!r}")
-        # a finite sum rules out inf and nan; an overflowed one falls to the exact test
-        if not math.isfinite(sum(self.values)) and not all(map(math.isfinite, self.values)):
-            i = list(map(math.isfinite, self.values)).index(False)
-            raise DomainError(f"value at index {i} is not finite: {self.values[i]!r}")
-        y = np.fromiter(self.values, float, len(self.values))
+        if kind not in SERIES_KINDS:
+            raise DomainError(f"kind must be one of {SERIES_KINDS}, got {kind!r}")
+        finite = np.isfinite(y)
+        if np.count_nonzero(finite) < len(y):
+            i = int(finite.argmin())
+            raise DomainError(f"value at index {i} is not finite: {float(y[i])!r}")
         y.setflags(write=False)
-        object.__setattr__(self, "array", y)
+        self.__dict__.update(labels=labels, kind=kind, array=y)  # frozen: no __setattr__
 
     def __reduce__(self):  # pickle and copy go through __init__: a fresh read-only array
         return type(self), (self.labels, self.values, self.kind)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.labels)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The array as a tuple of floats; every read builds a new tuple."""
+        return tuple(self.array.tolist())
 
 
 @dataclass(frozen=True, eq=False)  # an ndarray cannot take part in == or hash
@@ -109,10 +114,12 @@ class DiffSeries:
 class CharacteristicPoint:
     """A detected index, with enough context to audit the decision.
 
-    ambiguity holds rival candidates as (index, diff_value) pairs: all
-    other strict local maxima plus any defined value close to the
-    winner (within a quarter of the winner's height above the minimum).
-    Rivals are diagnostic only; they never change the selection.
+    ambiguity holds rival candidates as (index, diff_value) pairs, in
+    index order: all other strict local maxima plus any defined value
+    close to the winner (within a quarter of the winner's height above
+    the minimum), at most MAX_RIVALS of them, those with the largest
+    diff values (ties to the earlier index).  Rivals are diagnostic
+    only; they never change the selection.
     """
 
     index: int
@@ -165,6 +172,11 @@ def second_left_diff(ts: TimeSeries) -> DiffSeries:
     return _second_diff(ts, "sld", 2)
 
 
+@lru_cache(maxsize=32)
+def _signed_binomials(order: int) -> tuple[float, ...]:
+    return tuple(float((-1) ** j * comb(order, j)) for j in range(order + 1))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def nth_central_diff(ts: TimeSeries, order: int) -> DiffSeries:
     """Order-k central difference divided by 2, the SCD generalization.
@@ -178,9 +190,9 @@ def nth_central_diff(ts: TimeSeries, order: int) -> DiffSeries:
     _require_length(ts, order + 1)
     y = ts.array
     m = len(y) - order
-    acc = np.zeros(m)
-    for j in range(order + 1):
-        acc = acc + (-1) ** j * comb(order, j) * y[order - j : order - j + m]
+    acc = np.zeros(m)  # the +0.0 start fixes the sign of a zero sum
+    for j, coef in enumerate(_signed_binomials(order)):
+        acc += coef * y[order - j : order - j + m]
     acc[acc != acc] = np.nan  # inf - inf gives -nan; store the plain nan that None converts to
     return _padded(ts, "scd" if order == 2 else f"central-{order}", acc / 2.0, order // 2)
 
@@ -203,6 +215,13 @@ def _ambiguity(winner: int, a: np.ndarray, maxima: np.ndarray) -> tuple[tuple[in
     rival[maxima] = True
     rival[winner] = False
     idx = rival.nonzero()[0]
+    if len(idx) > MAX_RIVALS:
+        # keep the MAX_RIVALS largest values, ties to the earlier index
+        v = a[idx]
+        kth = np.partition(v, len(v) - MAX_RIVALS)[len(v) - MAX_RIVALS]
+        keep = v > kth
+        keep[(v == kth).nonzero()[0][: MAX_RIVALS - np.count_nonzero(keep)]] = True
+        idx = idx[keep]
     return tuple(zip(idx.tolist(), a[idx].tolist()))
 
 
@@ -211,7 +230,7 @@ def _make_point(ds: DiffSeries, a: np.ndarray, maxima: np.ndarray, index: int, p
         index=index,
         label=ds.source.labels[index],
         diff_value=float(a[index]),
-        series_value=ds.source.values[index],
+        series_value=float(ds.source.array[index]),
         policy_used=policy,
         ambiguity=_ambiguity(index, a, maxima),
     )

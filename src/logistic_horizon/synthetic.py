@@ -162,8 +162,9 @@ def benchmark_estimators(specs, truncations) -> list[dict]:
     rows = []
     for spec_index, spec in enumerate(specs):
         full = generate(spec)
+        values = full.values
         for k in truncations:
-            prefix = TimeSeries(labels=full.labels[:k], values=full.values[:k], kind="cumulative")
+            prefix = TimeSeries(labels=full.labels[:k], values=values[:k], kind="cumulative")
             # every method but order-n, which needs an order
             for method in METHODS[:-1]:
                 row = {

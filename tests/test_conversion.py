@@ -1,0 +1,120 @@
+"""A TimeSeries reads its values as float() does, in one numpy conversion.
+
+The reference converts value by value with ``float()``.  A series built
+from the same input must hold the same bits, read back the same floats,
+compare and hash like a series built from the reference tuple, and
+refuse every input that ``float()`` refuses.  Two refusals changed
+type when the per-value ``float()`` pass went: None now reads as nan
+and is refused as not finite (a ``DomainError``, was ``TypeError``),
+and a sequence in place of a value raises ``ValueError`` (was
+``TypeError``).
+"""
+
+import math
+import struct
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from logistic_horizon import DomainError, TimeSeries
+
+# 150 examples, or more under the active profile, such as "thorough"
+# (see conftest.py)
+SETTINGS = settings(
+    deadline=None, database=None, max_examples=max(150, settings.default.max_examples)
+)
+
+value = st.one_of(
+    st.floats(),  # nan and both infinities included
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**53 + 1, 2**63 + 1, -(2**63) - 1, 2**64 + 3]),
+    st.integers(2**1023, 2**1025),  # past the float range from 2**1024 on
+    st.booleans(),
+    st.none(),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.decimals(),
+    st.fractions(),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from([" 1_000 ", "-0", "1e999", "١٢٣", "nan", "abc", "", "0x10"]),
+)
+CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda v: (x for x in v),
+    "ndarray": lambda v: np.array(v, dtype=object),
+}
+
+
+def expected(vals):
+    """The floats float() reads from vals, or the exception type the
+    series raises: float()'s own, except that None reads as nan."""
+    for v in vals:
+        if v is not None:
+            try:
+                float(v)
+            except Exception as exc:
+                return type(exc)
+    return tuple(math.nan if v is None else float(v) for v in vals)
+
+
+def _labels(n):
+    return tuple(str(i) for i in range(n))
+
+
+@SETTINGS
+@given(st.lists(value, max_size=30), st.sampled_from(sorted(CONTAINERS)))
+@example([2**63 + 1, True, Decimal("0.1"), Fraction(1, 3), "1_000", np.float32(0.1)], "generator")
+@example([1.0, None, 2.0], "tuple")
+@example([1.0, "abc", None], "list")
+@example([1e308, 1e308], "ndarray")
+def test_conversion_matches_float(vals, container):
+    want = expected(vals)
+    given_values = CONTAINERS[container](vals)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            TimeSeries(_labels(len(vals)), given_values, "raw")
+        return
+    bad = [i for i, x in enumerate(want) if not math.isfinite(x)]
+    if not want or bad:
+        message = (
+            f"value at index {bad[0]} is not finite: {want[bad[0]]!r}" if bad else "at least one observation"
+        )
+        with pytest.raises(DomainError, match=message):
+            TimeSeries(_labels(len(vals)), given_values, "raw")
+        return
+    ts = TimeSeries(_labels(len(vals)), given_values, "raw")
+    assert ts.array.tobytes() == struct.pack(f"={len(want)}d", *want)
+    assert [x.hex() for x in ts.values] == [x.hex() for x in want]
+    assert all(type(x) is float for x in ts.values)
+    twin = TimeSeries(_labels(len(vals)), want, "raw")
+    assert ts == twin and hash(ts) == hash(twin)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([-0.0, 5e-324, 1e308, 0.1]),
+        np.array([2**62 + 1, -(2**63), 7], dtype=np.int64),
+        np.array([0.1, 3.0], dtype=np.float32),
+        np.array([True, False]),
+    ],
+)
+def test_numeric_arrays_convert_as_float_does(array):
+    ts = TimeSeries(_labels(len(array)), array, "raw")
+    want = tuple(float(x) for x in array)
+    assert ts.array.tobytes() == struct.pack(f"={len(want)}d", *want)
+    assert ts == TimeSeries(_labels(len(want)), want, "raw")
+
+
+def test_refusals_that_changed_type():
+    with pytest.raises(DomainError, match=r"value at index 1 is not finite: nan"):
+        TimeSeries(tuple("abc"), (1.0, None, 2.0), "raw")
+    with pytest.raises(ValueError):
+        TimeSeries(tuple("ab"), [1.0, [2.0]], "raw")

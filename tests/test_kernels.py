@@ -7,6 +7,7 @@ down to the sign of zero, same indices, same Python types.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logistic_horizon import (
+    FIXTURE_NAMES,
     FIRST_LOCAL_MAX,
     MAX_DERIV_ORDER,
     GLOBAL_MAX,
     LAST_LOCAL_MAX_BEFORE_DECLINE,
+    MAX_RIVALS,
     POLICIES,
     CharacteristicPointNotFound,
     DiffSeries,
@@ -27,6 +30,7 @@ from logistic_horizon import (
     RiccatiParams,
     TimeSeries,
     build_poly,
+    cumulate,
     estimate_nlls,
     estimate_scd,
     estimate_sld,
@@ -34,6 +38,7 @@ from logistic_horizon import (
     eval_poly,
     find_characteristic_point,
     generate,
+    get_fixture,
     higher_order_estimate,
     logistic_eval,
     logistic_nth_derivative,
@@ -44,7 +49,11 @@ from logistic_horizon import (
 )
 from logistic_horizon.estimate import _lm_refine, _logistic_jacobian, _logistic_residuals, _solve1
 
-SETTINGS = settings(max_examples=150, deadline=None, database=None)
+# 150 examples, or more under the active profile, such as "thorough"
+# (see conftest.py)
+SETTINGS = settings(
+    deadline=None, database=None, max_examples=max(150, settings.default.max_examples)
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # few distinct values, so that ties and plateaus are common
@@ -105,7 +114,7 @@ def _ref_maxima(vals):
     return out
 
 
-def _ref_ambiguity(winner, vals):
+def _ref_ambiguity(winner, vals, bound=MAX_RIVALS):
     defined = [(i, v) for i, v in enumerate(vals) if v is not None]
     winner_value = vals[winner]
     span = winner_value - min(v for _, v in defined)
@@ -113,10 +122,13 @@ def _ref_ambiguity(winner, vals):
     for i, v in defined:
         if i != winner and winner_value - v <= 0.25 * span:
             rivals[i] = v
-    return tuple(sorted(rivals.items()))
+    # at most `bound` rivals (None: all): the largest values, ties to
+    # the earlier index, listed by index
+    strongest = sorted(rivals.items(), key=lambda r: (-r[1], r[0]))[:bound]
+    return tuple(sorted(strongest))
 
 
-def _ref_detect(vals, policy):
+def _ref_detect(vals, policy, bound=MAX_RIVALS):
     """("ok", index, ambiguity), ("not-found", fallback index,
     fallback ambiguity) or ("too-few",)."""
     defined = [(i, v) for i, v in enumerate(vals) if v is not None]
@@ -127,16 +139,16 @@ def _ref_detect(vals, policy):
         if v > best_v:
             best_i, best_v = i, v
     if policy == GLOBAL_MAX:
-        return ("ok", best_i, _ref_ambiguity(best_i, vals))
+        return ("ok", best_i, _ref_ambiguity(best_i, vals, bound))
     maxima = _ref_maxima(vals)
     if policy == LAST_LOCAL_MAX_BEFORE_DECLINE:
         min_value = min(v for _, v in defined)
         first_min = next(i for i, v in defined if v == min_value)
         maxima = [i for i in maxima if i < first_min]
     if not maxima:
-        return ("not-found", best_i, _ref_ambiguity(best_i, vals))
+        return ("not-found", best_i, _ref_ambiguity(best_i, vals, bound))
     index = maxima[0] if policy == FIRST_LOCAL_MAX else maxima[-1]
-    return ("ok", index, _ref_ambiguity(index, vals))
+    return ("ok", index, _ref_ambiguity(index, vals, bound))
 
 
 def _ref_residuals(y, u_max, a, c):
@@ -255,6 +267,7 @@ def test_second_differences_match_reference(y):
 @SETTINGS
 @given(st.integers(2, 6), st.lists(st.one_of(finite, coarse), min_size=7, max_size=40))
 @example(6, [0.0, -2.9961552247705263e307, 0.0, 0.0, 0.0, 2.9961552247705263e307, 0.0])
+@example(2, [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0])  # every term -0.0: the +0.0 start shows
 def test_central_differences_match_reference(order, y):
     ds = nth_central_diff(_series(y), order)
     assert _bits(ds.values) == _bits(_ref_central(y, order))
@@ -337,6 +350,48 @@ def test_detection_on_stencil_and_hand_built_diffs_agree(stencil, y, policy):
     assert built.array.tobytes() == by_hand.array.tobytes()
     assert not built.array.flags.writeable and not by_hand.array.flags.writeable
     assert _bits(_detect(built, policy)) == _bits(_detect(by_hand, policy))
+
+
+def _outcome(detected):
+    # a _detect result in the shape _ref_detect gives
+    status = detected[0] if isinstance(detected[0], str) else detected[0][0]
+    return (status,) if status == "too-few" else (status, detected[2], detected[-1])
+
+
+@SETTINGS
+@given(st.lists(diff_slot, min_size=3, max_size=30), st.sampled_from(POLICIES), st.integers(1, 6))
+@example([None, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0, None], GLOBAL_MAX, 3)
+def test_rival_bound_keeps_the_strongest(vals, policy, bound):
+    # a small bound, so that coarse values put ties at its edge
+    ds = DiffSeries(source=_series([0.0] * len(vals)), kind="scd", array=tuple(vals))
+    with mock.patch("logistic_horizon.series.MAX_RIVALS", bound):
+        got = _detect(ds, policy)
+    want = _ref_detect(vals, policy, bound)
+    assert _bits(_outcome(got)) == _bits(want)
+
+
+def _fixture_windows():
+    # every prefix of every fixture, as given and, if raw, cumulated
+    for name in FIXTURE_NAMES:
+        series = get_fixture(name).series
+        for ts in (series, cumulate(series)) if series.kind == "raw" else (series,):
+            for n in range(3, len(ts) + 1):
+                yield TimeSeries(ts.labels[:n], ts.values[:n], ts.kind)
+
+
+def test_no_fixture_window_reaches_the_rival_bound():
+    longest = 0
+    for ts in _fixture_windows():
+        for stencil in STENCILS.values():
+            try:
+                ds = stencil(ts)
+            except DomainError:  # too short for this stencil
+                continue
+            for policy in POLICIES:
+                got = _outcome(_detect(ds, policy))
+                assert _bits(got) == _bits(_ref_detect(ds.values, policy, bound=None))
+                longest = max(longest, len(got[-1]) if len(got) > 1 else 0)
+    assert longest == 74 < MAX_RIVALS
 
 
 def test_detection_ties_and_plateaus():
@@ -499,3 +554,18 @@ def test_long_series_estimates_are_bit_identical():
         "order5": higher_order_estimate(ts, 5).u_max_hat.hex(),
     }
     assert got == LONG_PINNED
+
+
+def test_long_noisy_series_keeps_the_strongest_rivals():
+    ds = second_central_diff(generate(LONG_SPEC))
+    point = find_characteristic_point(ds)
+    unbounded = _ref_ambiguity(point.index, ds.values, bound=None)
+    assert len(unbounded) > 1000 and len(point.ambiguity) == MAX_RIVALS
+    # the largest values of the unbounded set, ties to the earlier index, by index
+    assert _bits(point.ambiguity) == _bits(_ref_ambiguity(point.index, ds.values))
+    assert set(point.ambiguity) <= set(unbounded)
+    floor = min(v for _, v in point.ambiguity)
+    last_at_floor = max(i for i, v in point.ambiguity if v == floor)
+    for i, v in set(unbounded) - set(point.ambiguity):
+        assert v < floor or (v == floor and i > last_at_floor)
+    assert [i for i, _ in point.ambiguity] == sorted(i for i, _ in point.ambiguity)

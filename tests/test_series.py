@@ -105,8 +105,13 @@ def test_time_series_array_leaves_eq_hash_pickle_and_replace_alone():
     moved = dataclasses.replace(ts, values=(1.0, 2.0, 8.0))
     assert moved.values == (1.0, 2.0, 8.0) and moved.labels == ts.labels
     _bit_equal(moved.array, moved.values)
+    relabelled = dataclasses.replace(ts, labels=("x", "y", "z"))
+    assert relabelled.values == ts.values and relabelled.array.tobytes() == ts.array.tobytes()
     with pytest.raises(ValueError):
         dataclasses.replace(ts, array=np.zeros(3))
+    # the array is the only copy of the data: values is a new tuple on every read
+    assert ts.values == ts.values and ts.values is not ts.values
+    assert repr(ts) == "TimeSeries(labels=('a', 'b', 'c'), values=(1.0, 2.0, 4.0), kind='cumulative')"
 
 
 def test_diff_series_array_follows_values():

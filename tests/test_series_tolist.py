@@ -1,8 +1,9 @@
-"""A DiffSeries holds one array, and no stencil builds a tuple copy of it.
+"""A TimeSeries or DiffSeries holds one array, and nothing builds a tuple copy of it.
 
 A plain ``ast`` walk over ``series.py``: a ``.tolist()`` call may appear
-only where a tuple is the output, in ``DiffSeries.values`` (built when
-it is read) and in ``_ambiguity`` (the rival pairs).
+only where a tuple is the output, in ``TimeSeries.values`` and
+``DiffSeries.values`` (each built when it is read) and in
+``_ambiguity`` (the rival pairs).
 """
 
 import ast
@@ -11,7 +12,7 @@ from pathlib import Path
 import logistic_horizon
 
 SERIES = Path(logistic_horizon.__file__).parent / "series.py"
-ALLOWED = {"DiffSeries.values", "_ambiguity"}
+ALLOWED = {"TimeSeries.values", "DiffSeries.values", "_ambiguity"}
 
 
 def tolist_calls(source: str) -> list[str]:
