@@ -29,6 +29,7 @@ from .fixtures import FIXTURE_NAMES, get_fixture
 from .logistic import LogisticParams
 from .series import (
     POLICIES,
+    SERIES_KINDS,
     CharacteristicPoint,
     TimeSeries,
     cumulate,
@@ -119,11 +120,12 @@ def _load_series(args, stdin) -> TimeSeries:
     if fixture and path:
         raise DomainError("give either a CSV path or --fixture, not both")
     if fixture:
-        return get_fixture(fixture).series
-    kind = getattr(args, "kind", "raw")
-    if path is None or path == "-":
-        return read_csv_series(stdin, "<stdin>", kind)
-    return read_csv(path, kind)
+        ts = get_fixture(fixture).series
+    elif path is None or path == "-":
+        ts = read_csv_series(stdin, "<stdin>", args.kind)
+    else:
+        ts = read_csv(path, args.kind)
+    return cumulate(ts) if args.cumulate else ts
 
 
 # ---------------------------------------------------------------- commands
@@ -163,8 +165,6 @@ def _print_point(point: CharacteristicPoint, stdout, digits, prefix="characteris
 
 def _cmd_analyze(args, stdin, stdout, digits) -> int:
     ts = _load_series(args, stdin)
-    if args.cumulate:
-        ts = cumulate(ts)
     ds = _diff_of(args, ts)
     print("label\tt\tvalue\tdiff", file=stdout)
     for i, (label, v, d) in enumerate(zip(ts.labels, ts.values, ds.values)):
@@ -185,8 +185,6 @@ def _cmd_estimate(args, stdin, stdout, digits) -> int:
     if args.method == "order-n" and args.n is None:
         raise DomainError("--method order-n requires --n")
     ts = _load_series(args, stdin)
-    if args.cumulate:
-        ts = cumulate(ts)
     mode = "paper-rounded" if args.constant == "paper" else args.constant
     est = run_method(args.method, ts, args.n, args.degree, mode, args.policy)
     scale = abs(ts.array).max()
@@ -219,8 +217,6 @@ def _cmd_estimate(args, stdin, stdout, digits) -> int:
 
 def _cmd_fit(args, stdin, stdout, digits) -> int:
     ts = _load_series(args, stdin)
-    if args.cumulate:
-        ts = cumulate(ts)
     params, _rmse = fit_logistic_nlls(ts)
     payload = {
         "u_max": _display_float(params.u_max, digits),
@@ -272,16 +268,9 @@ def _cmd_bench(args, stdin, stdout, digits) -> int:
             params = LogisticParams(
                 u_max=float(item["u_max"]), a=float(item["a"]), c=float(item["c"])
             )
-            specs.append(
-                GenSpec(
-                    params=params,
-                    n_points=int(item["n_points"]),
-                    t_start=float(item.get("t_start", 0.0)),
-                    t_step=float(item.get("t_step", 1.0)),
-                    noise_sd=float(item.get("noise_sd", 0.0)),
-                    seed=int(item.get("seed", 0)),
-                )
-            )
+            # the keys given, as given: GenSpec alone holds the defaults and checks
+            given = {k: item[k] for k in ("t_start", "t_step", "noise_sd", "seed") if k in item}
+            specs.append(GenSpec(params=params, n_points=item["n_points"], **given))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{args.config}: bad spec at index {i}: {exc}") from None
     rows = benchmark_estimators(specs, truncations)
@@ -334,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("csv", nargs="?", default=None, help="input CSV (label,value); '-' or absent reads stdin")
     data.add_argument("--fixture", choices=FIXTURE_NAMES, help="use an embedded dataset instead of a file")
-    data.add_argument("--kind", choices=("raw", "cumulative"), default="raw", help="how to interpret CSV values")
+    data.add_argument("--kind", choices=SERIES_KINDS, default="raw", help="how to interpret CSV values")
     data.add_argument("--cumulate", action="store_true", help="prefix-sum the series before processing")
 
     parser = argparse.ArgumentParser(

@@ -15,10 +15,11 @@ Three families, sharing one output type:
   This is the baseline method the characteristic-point approach is
   meant to complement on short windows.
 
-Division estimators require a cumulative (level) series, since the
-fractions are fractions of the saturation level.  They report, but do
-not enforce, the sanity bound u_max_hat > max(y): noisy data can
-violate it and hiding that would be worse than warning.
+Every estimator refuses a non-cumulative series, since the fractions
+are fractions of the saturation level.  Every estimator reports, but
+does not enforce, the sanity bound u_max_hat > max(y): noisy data can
+violate it and hiding that would be worse than a RuntimeWarning that
+names the caller.  nlls never warns, as its fit keeps u_max above max(y).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
@@ -103,14 +105,15 @@ def resolve_constant(n: int, constant_mode: str) -> float:
     return level
 
 
-def _division_estimate(ts, ds, n, method, constant_mode, policy) -> SaturationEstimate:
+def _require_levels(ts: TimeSeries) -> None:
     if ts.kind != "cumulative":
-        raise DomainError(
-            "division estimators need a cumulative (level) series; cumulate raw counts first"
-        )
-    point = find_characteristic_point(ds, policy)
-    constant = resolve_constant(n, constant_mode)
-    u_max_hat = point.series_value / constant
+        raise DomainError("estimators need a cumulative (level) series; cumulate raw counts first")
+
+
+def _finish(ts, method, u_max_hat, constant, point, diagnostics) -> SaturationEstimate:
+    """Package an estimate, checking it against the largest observation:
+    ``exceeds_max_observed`` becomes the last diagnostics key, and a
+    RuntimeWarning names the caller when the bound fails."""
     observed_max = float(ts.array.max())
     exceeds = u_max_hat > observed_max
     if not exceeds:
@@ -125,12 +128,7 @@ def _division_estimate(ts, ds, n, method, constant_mode, policy) -> SaturationEs
             RuntimeWarning,
             stacklevel=level,
         )
-    diagnostics = {
-        "constant_mode": constant_mode,
-        "policy": policy,
-        "ambiguity": list(point.ambiguity),
-        "exceeds_max_observed": exceeds,
-    }
+    diagnostics["exceeds_max_observed"] = exceeds
     return SaturationEstimate(
         method=method,
         u_max_hat=u_max_hat,
@@ -140,14 +138,27 @@ def _division_estimate(ts, ds, n, method, constant_mode, policy) -> SaturationEs
     )
 
 
+def _division_estimate(ts, diff, n, method, constant_mode, policy) -> SaturationEstimate:
+    # the n-th derivative's point needs 3 defined values of an order n-1 stencil
+    _require_levels(ts)
+    if len(ts) < n + 2:
+        raise DomainError(f"need at least {n + 2} observations for order {n}, got {len(ts)}")
+    point = find_characteristic_point(diff(ts), policy)
+    constant = resolve_constant(n, constant_mode)
+    diagnostics = {
+        "constant_mode": constant_mode,
+        "policy": policy,
+        "ambiguity": list(point.ambiguity),
+    }
+    return _finish(ts, method, point.series_value / constant, constant, point, diagnostics)
+
+
 def estimate_scd(
     ts: TimeSeries, constant_mode: str = "exact", policy: str = FIRST_LOCAL_MAX
 ) -> SaturationEstimate:
     """Divide the level at the characteristic point of the second
     central difference by the third-derivative fraction."""
-    if len(ts) < 4:
-        raise DomainError(f"need at least 4 observations, got {len(ts)}")
-    return _division_estimate(ts, second_central_diff(ts), 3, "scd", constant_mode, policy)
+    return _division_estimate(ts, second_central_diff, 3, "scd", constant_mode, policy)
 
 
 def estimate_sld(
@@ -155,9 +166,7 @@ def estimate_sld(
 ) -> SaturationEstimate:
     """Same as estimate_scd but on the second left difference, the
     variant available in real time (no lookahead sample needed)."""
-    if len(ts) < 4:
-        raise DomainError(f"need at least 4 observations, got {len(ts)}")
-    return _division_estimate(ts, second_left_diff(ts), 3, "sld", constant_mode, policy)
+    return _division_estimate(ts, second_left_diff, 3, "sld", constant_mode, policy)
 
 
 def higher_order_estimate(
@@ -174,10 +183,8 @@ def higher_order_estimate(
     require_int(n, "derivative order", 3)
     if n == 3:
         return estimate_scd(ts, constant_mode, policy)
-    if len(ts) < n + 2:
-        raise DomainError(f"need at least {n + 2} observations for order {n}, got {len(ts)}")
-    ds = nth_central_diff(ts, n - 1)
-    return _division_estimate(ts, ds, n, f"higher-order-{n}", constant_mode, policy)
+    diff = partial(nth_central_diff, order=n - 1)
+    return _division_estimate(ts, diff, n, f"higher-order-{n}", constant_mode, policy)
 
 
 def fit_polynomial_lsm(ts: TimeSeries, degree: int) -> PolyFit:
@@ -242,27 +249,19 @@ def polyfit_estimate(
     require_int(degree, "degree", 4)
     if degree % 2:
         raise DomainError(f"degree must be an even integer >= 4, got {degree!r}")
+    _require_levels(ts)
     fit = fit_polynomial_lsm(ts, degree)
     x_star = _argmax_second_derivative(fit)
     f_x_star = fit(x_star)
     constant = resolve_constant(3, constant_mode)
-    u_max_hat = f_x_star / constant
-    observed_max = float(ts.array.max())
     diagnostics = {
         "degree": degree,
         "coefficients": list(fit.coefficients),
         "x_star": x_star,
         "f_x_star": f_x_star,
         "constant_mode": constant_mode,
-        "exceeds_max_observed": u_max_hat > observed_max,
     }
-    return SaturationEstimate(
-        method="polyfit",
-        u_max_hat=u_max_hat,
-        constant_used=constant,
-        char_point=None,
-        diagnostics=diagnostics,
-    )
+    return _finish(ts, "polyfit", f_x_star / constant, constant, None, diagnostics)
 
 
 def _logistic_residuals(y, t, u_max, a, c):
@@ -386,21 +385,15 @@ def fit_logistic_nlls(ts: TimeSeries) -> tuple[LogisticParams, float]:
 
 def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
     """fit_logistic_nlls packaged as a SaturationEstimate."""
+    _require_levels(ts)
     params, rmse, converged = _fit_logistic_nlls_full(ts)
     diagnostics = {
         "a": params.a,
         "c": params.c,
         "rmse": rmse,
         "converged": converged,
-        "exceeds_max_observed": params.u_max > float(ts.array.max()),
     }
-    return SaturationEstimate(
-        method="nlls",
-        u_max_hat=params.u_max,
-        constant_used=None,
-        char_point=None,
-        diagnostics=diagnostics,
-    )
+    return _finish(ts, "nlls", params.u_max, None, None, diagnostics)
 
 
 def run_method(

@@ -16,7 +16,6 @@ and any calendar bookkeeping lives in the labels.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -39,8 +38,8 @@ class TimeSeries:
     """Labelled, equally spaced observations.
 
     kind says how the values are to be read: "raw" for per-period
-    increments, "cumulative" for running levels.  Estimators that
-    assume a level series check this field.  A series holds its values
+    increments, "cumulative" for running levels.  Every estimator
+    refuses a raw series: it needs levels.  A series holds its values
     once, as the read-only float64 array `array`; `values` is built from
     it when read, as a new tuple of floats each time.  ==, hash, repr
     and dataclasses.replace go by labels, values and kind.
@@ -130,15 +129,12 @@ class CharacteristicPoint:
     ambiguity: tuple[tuple[int, float], ...] = ()
 
 
+@np.errstate(over="ignore")  # a sum that overflows is refused below as not finite
 def cumulate(ts: TimeSeries) -> TimeSeries:
-    """Prefix sums of a raw series; labels are kept."""
+    """Prefix sums of a raw series, added left to right; labels are kept."""
     if ts.kind != "raw":
         raise DomainError("series is already cumulative")
-    return TimeSeries(
-        labels=ts.labels,
-        values=tuple(itertools.accumulate(ts.values)),
-        kind="cumulative",
-    )
+    return TimeSeries(labels=ts.labels, values=np.cumsum(ts.array), kind="cumulative")
 
 
 def _require_length(ts: TimeSeries, minimum: int) -> None:

@@ -130,7 +130,7 @@ def generate(spec: GenSpec) -> TimeSeries:
     """Sample the curve, optionally with seeded additive noise.
 
     Values are levels, so the result is a cumulative-kind series ready
-    for the division estimators.  Labels carry the time coordinates.
+    for every estimator.  Labels carry the time coordinates.
     """
     seed = spec.seed & _MASK64
     labels = []

@@ -115,6 +115,18 @@ def test_estimate_nlls_method():
     assert payload["diagnostics"]["converged"] is True
 
 
+@pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
+@pytest.mark.parametrize("method", ["polyfit", "nlls"])
+def test_estimate_on_a_raw_csv_needs_levels(method):
+    csv = "".join(f"{i},{v}\n" for i, v in enumerate((1, 3, 8, 20, 41, 60, 72, 78, 80)))
+    rc, out, err = _run(["estimate", "-", "--method", method], stdin_text=csv)
+    assert (rc, out) == (1, "")
+    assert err == "error: estimators need a cumulative (level) series; cumulate raw counts first\n"
+    for flags in (["--kind", "cumulative"], ["--cumulate"]):
+        rc, out, _ = _run(["estimate", "-", "--method", method, "--degree", "6", *flags], stdin_text=csv)
+        assert rc == 0 and json.loads(out)["method"] == method
+
+
 def test_estimate_order_n_requires_n():
     rc, _, err = _run(["estimate", "--fixture", "loyalty-tnlc-window", "--method", "order-n"])
     assert rc == 1
@@ -254,6 +266,16 @@ def test_bench_csv_and_determinism(tmp_path):
     rows = json.loads(out_json)
     assert len(rows) == 8
     assert {r["method"] for r in rows} == {"scd", "sld", "polyfit", "nlls"}
+
+
+@pytest.mark.parametrize("fields", [{"n_points": 12.9}, {"n_points": 12, "seed": 1.7}])
+def test_bench_refuses_fractional_integer_fields(tmp_path, fields):
+    config = tmp_path / "bench.json"
+    spec = {"u_max": 1000, "a": 200, "c": 0.4, **fields}
+    config.write_text(json.dumps({"specs": [spec], "truncations": [9]}))
+    rc, out, err = _run(["bench", "--config", str(config)])
+    assert (rc, out) == (1, "")
+    assert "bad spec at index 0" in err
 
 
 def test_exit_codes():

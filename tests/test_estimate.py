@@ -191,7 +191,11 @@ def test_polyfit_input_checks():
 
 
 def test_polyfit_estimate_quartic_vertex():
-    est = polyfit_estimate(_quartic_series())
+    # the fitted level at the vertex over the fraction, 61.5, stays below
+    # the largest observation, 65, so the bound warns
+    with pytest.warns(RuntimeWarning, match="does not exceed the largest observed value 65"):
+        est = polyfit_estimate(_quartic_series())
+    assert est.diagnostics["exceeds_max_observed"] is False
     assert est.diagnostics["x_star"] == pytest.approx(1.0, abs=1e-9)
     assert est.diagnostics["f_x_star"] == pytest.approx(13.0, abs=1e-6)
     assert est.u_max_hat == pytest.approx(13.0 / characteristic_level(3), rel=1e-9)
@@ -200,11 +204,13 @@ def test_polyfit_estimate_quartic_vertex():
 def test_polyfit_estimate_degree_six_path():
     # degree 6 fit of quartic data reduces to the quartic; the critical
     # points of f'' must include the same interior maximum
-    est = polyfit_estimate(_quartic_series(), degree=6)
+    with pytest.warns(RuntimeWarning, match="does not exceed the largest"):
+        est = polyfit_estimate(_quartic_series(), degree=6)
     assert est.diagnostics["x_star"] == pytest.approx(1.0, abs=1e-6)
     assert est.diagnostics["f_x_star"] == pytest.approx(13.0, rel=1e-6)
 
 
+@pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
 @pytest.mark.parametrize(
     "degree, u_max_hat", [(6, "0x1.849c9e1e21aa2p+10"), (8, "0x1.c55fa6d4f83c7p+4")]
 )
@@ -261,6 +267,7 @@ _NEAR_END_PEAKS = {
 }
 
 
+@pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
 def test_polyfit_peak_matches_the_exact_critical_points():
     windows = dict(_fixture_windows(9))
     cases = random.Random(8).sample(sorted(itertools.product(windows, (6, 8))), 150)
@@ -441,6 +448,7 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+@pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
 def test_callers_reach_estimators_through_the_estimate_module(monkeypatch):
     # a wrapper installed on the estimate module (a test double, a
     # tracer) must see the calls of the bench and of the CLI
@@ -464,10 +472,50 @@ def test_below_max_warning_names_the_caller():
         lambda: estimate_scd(ts),
         lambda: estimate_sld(ts),
         lambda: higher_order_estimate(ts, 3),
+        lambda: polyfit_estimate(ts, 6),
         lambda: run_method("scd", ts),
         lambda: run_method("order-n", ts, n=3),
+        lambda: run_method("polyfit", ts, degree=6),
     ]
     for call in calls:
         with pytest.warns(RuntimeWarning, match="does not exceed the largest") as record:
             call()
         assert [w.filename for w in record] == [__file__]
+
+
+# ------------------------------------------------------ the one contract
+
+LEVELS_ONLY = "estimators need a cumulative (level) series; cumulate raw counts first"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_estimator_refuses_a_raw_series_first(method):
+    # the same refusal from every method, before any length or fit check
+    raw = get_fixture("medical-qmd").series
+    too_short = TimeSeries(tuple("abc"), (1.0, 2.0, 4.0), "raw")
+    for ts in (raw, too_short):
+        with pytest.raises(DomainError) as info:
+            run_method(method, ts, n=4)
+        assert str(info.value) == LEVELS_ONLY
+
+
+@pytest.mark.parametrize("estimator", [estimate_scd, estimate_sld])
+def test_division_estimators_need_n_plus_two_points(estimator):
+    # three defined second differences need five observations
+    four = TimeSeries(tuple("abcd"), (1.0, 2.0, 4.0, 7.0), "cumulative")
+    with pytest.raises(DomainError, match="need at least 5 observations"):
+        estimator(four)
+    five = TimeSeries(tuple("abcde"), (1.0, 2.0, 4.0, 7.0, 9.0), "cumulative")
+    assert estimator(five, policy=GLOBAL_MAX).char_point is not None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nlls_exceeds_the_largest_observation_on_every_fixture_prefix():
+    # the fit keeps u_max above max(y), so nlls never warns
+    for name in FIXTURE_NAMES:
+        ts = get_fixture(name).series
+        if ts.kind == "raw":
+            ts = cumulate(ts)
+        for n in range(4, len(ts) + 1):
+            est = estimate_nlls(TimeSeries(ts.labels[:n], ts.values[:n], "cumulative"))
+            assert est.diagnostics["exceeds_max_observed"] is True, (name, n)

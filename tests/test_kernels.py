@@ -5,6 +5,7 @@ kernel computes.  The kernels must agree with it exactly: same floats
 down to the sign of zero, same indices, same Python types.
 """
 
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -271,6 +272,45 @@ def test_second_differences_match_reference(y):
 def test_central_differences_match_reference(order, y):
     ds = nth_central_diff(_series(y), order)
     assert _bits(ds.values) == _bits(_ref_central(y, order))
+
+
+# ------------------------------------------------------------- prefix sums
+
+extremes = st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, -0.0])
+
+
+def _ref_cumulate(y):
+    """Running sums left to right, or the refusal of the first that overflows."""
+    sums = list(itertools.accumulate(y))
+    for i, v in enumerate(sums):
+        if not math.isfinite(v):
+            return "refused", f"value at index {i} is not finite: {v!r}"
+    return "ok", sums
+
+
+def _cumulate_outcome(y):
+    raw = TimeSeries(tuple(str(i) for i in range(len(y))), tuple(y), "raw")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow is refused, not warned about
+        try:
+            return "ok", list(cumulate(raw).values)
+        except DomainError as exc:
+            return "refused", str(exc)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(finite, coarse, extremes), min_size=1, max_size=40))
+@example([1e308, 1e308, -1e308])  # inf from index 1 on: refused there
+@example([-0.0, -0.0, 5e-324, -5e-324])
+def test_cumulate_matches_reference(y):
+    assert _bits(_cumulate_outcome(y)) == _bits(_ref_cumulate(y))
+
+
+def test_cumulate_matches_reference_on_raw_fixtures():
+    for name in FIXTURE_NAMES:
+        series = get_fixture(name).series
+        if series.kind == "raw":
+            assert _bits(_cumulate_outcome(series.values)) == _bits(_ref_cumulate(series.values))
 
 
 # --------------------------------------------------------------- detection

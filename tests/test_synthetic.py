@@ -125,6 +125,7 @@ def test_benchmark_shapes_and_statuses():
         }
 
 
+@pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")  # polyfit rows below max
 def test_benchmark_deterministic():
     a = benchmark_estimators(_bench_specs(), [9, 13, 20])
     b = benchmark_estimators(_bench_specs(), [9, 13, 20])
@@ -139,6 +140,7 @@ def test_benchmark_input_checks():
         benchmark_estimators(_bench_specs(), [42])
 
 
+@pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")  # polyfit rows below max
 def test_benchmark_errors_shrink_with_more_data():
     rows = benchmark_estimators(_bench_specs(), [13, 20, 30, 41])
     for method in ("scd", "nlls"):
