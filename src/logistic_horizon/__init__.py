@@ -38,7 +38,6 @@ from .derivpoly import (
     build_poly,
     characteristic_level,
     eval_poly,
-    logistic_nth_derivative,
     poly_roots,
     riccati_nth_derivative,
 )
@@ -47,6 +46,7 @@ from .logistic import (
     characteristic_time,
     level_crossing_time,
     logistic_eval,
+    logistic_nth_derivative,
     params_from_initial,
 )
 from .series import (
@@ -108,13 +108,13 @@ __all__ = [
     "build_poly",
     "characteristic_level",
     "eval_poly",
-    "logistic_nth_derivative",
     "poly_roots",
     "riccati_nth_derivative",
     "LogisticParams",
     "characteristic_time",
     "level_crossing_time",
     "logistic_eval",
+    "logistic_nth_derivative",
     "params_from_initial",
     "FIRST_LOCAL_MAX",
     "GLOBAL_MAX",

@@ -121,10 +121,12 @@ def _load_series(args, stdin) -> TimeSeries:
         raise DomainError("give either a CSV path or --fixture, not both")
     if fixture:
         ts = get_fixture(fixture).series
+        if args.kind:
+            raise DomainError(f"--kind is for CSV input: fixture {fixture} is {ts.kind}; --cumulate makes levels")
     elif path is None or path == "-":
-        ts = read_csv_series(stdin, "<stdin>", args.kind)
+        ts = read_csv_series(stdin, "<stdin>", args.kind or "raw")
     else:
-        ts = read_csv(path, args.kind)
+        ts = read_csv(path, args.kind or "raw")
     return cumulate(ts) if args.cumulate else ts
 
 
@@ -218,11 +220,7 @@ def _cmd_estimate(args, stdin, stdout, digits) -> int:
 def _cmd_fit(args, stdin, stdout, digits) -> int:
     ts = _load_series(args, stdin)
     params, _rmse = fit_logistic_nlls(ts)
-    payload = {
-        "u_max": _display_float(params.u_max, digits),
-        "a": _display_float(params.a, digits),
-        "c": _display_float(params.c, digits),
-    }
+    payload = {name: _display_float(getattr(params, name), digits) for name in ("u_max", "a", "c")}
     print(json.dumps(payload, indent=2), file=stdout)
     return 0
 
@@ -323,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("csv", nargs="?", default=None, help="input CSV (label,value); '-' or absent reads stdin")
     data.add_argument("--fixture", choices=FIXTURE_NAMES, help="use an embedded dataset instead of a file")
-    data.add_argument("--kind", choices=SERIES_KINDS, default="raw", help="how to interpret CSV values")
+    data.add_argument("--kind", choices=SERIES_KINDS, help="how to interpret CSV values (default raw)")
     data.add_argument("--cumulate", action="store_true", help="prefix-sum the series before processing")
 
     parser = argparse.ArgumentParser(

@@ -46,7 +46,6 @@ from math import comb
 
 from .errors import BracketError, DomainError, require_int
 from .eulerian import eulerian_row
-from .logistic import LogisticParams, logistic_eval
 
 # Construction cap for derivative order. Integer arithmetic is exact at
 # any order; the cap only keeps accidental huge requests from burning
@@ -145,21 +144,6 @@ def riccati_nth_derivative(params: RiccatiParams, n: int, u: float) -> float:
     _check_order(n, minimum=2)
     s = _eulerian_sum(eulerian_row(n), n, u - params.u1, u - params.u2, 1)
     return params.r**n * s
-
-
-def logistic_nth_derivative(lp: LogisticParams, n: int, t: float) -> float:
-    """n-th time derivative of the logistic curve at ``t``.
-
-    The curve satisfies u' = (c/u_max) u (u_max - u), a quadratic rate
-    with r = -c/u_max and roots {0, u_max}, so for n >= 2 the factored
-    Eulerian sum applies directly.  n = 1 is the rate itself.
-    """
-    _check_order(n, minimum=1)
-    u = logistic_eval(lp, t)
-    if n == 1:
-        return lp.c1 * u * (lp.u_max - u)
-    s = _eulerian_sum(eulerian_row(n), n, u, u - lp.u_max, 1)
-    return (-lp.c1) ** n * s
 
 
 def _bisect_root(f, a: float, b: float) -> float:

@@ -13,7 +13,8 @@ Three families, sharing one output type:
   divide by the third-derivative fraction.
 * nlls: fit the full logistic curve by damped nonlinear least squares.
   This is the baseline method the characteristic-point approach is
-  meant to complement on short windows.
+  meant to complement on short windows.  fit_logistic_nlls returns the
+  curve of that one fit as LogisticParams, under the same contract.
 
 Every estimator refuses a non-cumulative series, since the fractions
 are fractions of the saturation level.  Every estimator reports, but
@@ -283,7 +284,7 @@ def _logistic_jacobian(t, u_max, a, e, den):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _lm_refine(y, u_max, a, c):
+def _lm_refine(y, t, ymax, u_max, a, c):
     """Damped least-squares refinement of one candidate start.
 
     Steps that leave the feasible region (u_max above the data, a and c
@@ -292,8 +293,6 @@ def _lm_refine(y, u_max, a, c):
     rejected the same way.  Overflow gives inf without a warning, as in
     scalar float code.
     """
-    ymax = float(y.max())
-    t = np.arange(len(y), dtype=float)
     p = (float(u_max), float(a), float(c))
     res, e, den = _logistic_residuals(y, t, *p)
     sse = float(res @ res)
@@ -332,7 +331,17 @@ def _lm_refine(y, u_max, a, c):
     return p, rmse, converged
 
 
-def _fit_logistic_nlls_full(ts: TimeSeries):
+def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
+    """Fit u_max/(1 + a e^{-ct}) to the values against t = 0..n-1.
+
+    Multi-start: a small ladder of saturation caps above the observed
+    maximum, each reduced to a line fit in logit space for the other
+    two parameters, then damped least-squares refinement.  The best
+    candidate (lowest RMSE, ties to the lower saturation level) gives
+    ``u_max_hat``; its ``a``, ``c``, ``rmse`` and ``converged`` are the
+    diagnostics.
+    """
+    _require_levels(ts)
     if len(ts) < 4:
         raise DomainError(f"need at least 4 observations, got {len(ts)}")
     y = ts.array
@@ -340,7 +349,7 @@ def _fit_logistic_nlls_full(ts: TimeSeries):
         raise DomainError("logistic fitting needs strictly positive values")
     ymax = float(y.max())
     t = np.arange(len(y), dtype=float)
-    best = None
+    fits = []
     for mult in (1.05, 1.5, 3.0, 10.0):
         cap = mult * ymax
         # logit transform: ln((cap - y)/y) is affine in t when cap is right.
@@ -360,33 +369,12 @@ def _fit_logistic_nlls_full(ts: TimeSeries):
         slope = sum((dx * (zs - zbar)).tolist()) / sxx
         a0 = math.exp(zbar - slope * xbar)
         c0 = -slope if -slope > 0 else 1e-6
-        (u_hat, a_hat, c_hat), rmse, converged = _lm_refine(y, cap, a0, c0)
-        key = (rmse, u_hat)
-        if best is None or key < best[0]:
-            best = (key, (u_hat, a_hat, c_hat), rmse, converged)
-    if best is None:
+        fits.append(_lm_refine(y, t, ymax, cap, a0, c0))
+    if not fits:
         raise EstimationError("no admissible starting point for the logistic fit")
-    (u_hat, a_hat, c_hat) = best[1]
+    # min keeps the earlier start on a tie
+    (u_hat, a_hat, c_hat), rmse, converged = min(fits, key=lambda fit: (fit[1], fit[0][0]))
     params = LogisticParams(u_max=u_hat, a=a_hat, c=c_hat)
-    return params, best[2], best[3]
-
-
-def fit_logistic_nlls(ts: TimeSeries) -> tuple[LogisticParams, float]:
-    """Fit u_max/(1 + a e^{-ct}) to the values against t = 0..n-1.
-
-    Multi-start: a small ladder of saturation caps above the observed
-    maximum, each reduced to a line fit in logit space for the other
-    two parameters, then damped least-squares refinement.  Returns the
-    best candidate (lowest RMSE, ties to the lower saturation level).
-    """
-    params, rmse, _ = _fit_logistic_nlls_full(ts)
-    return params, rmse
-
-
-def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
-    """fit_logistic_nlls packaged as a SaturationEstimate."""
-    _require_levels(ts)
-    params, rmse, converged = _fit_logistic_nlls_full(ts)
     diagnostics = {
         "a": params.a,
         "c": params.c,
@@ -394,6 +382,13 @@ def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
         "converged": converged,
     }
     return _finish(ts, "nlls", params.u_max, None, None, diagnostics)
+
+
+def fit_logistic_nlls(ts: TimeSeries) -> tuple[LogisticParams, float]:
+    """The curve :func:`estimate_nlls` fits, as parameters and RMSE."""
+    est = estimate_nlls(ts)
+    d = est.diagnostics
+    return LogisticParams(est.u_max_hat, d["a"], d["c"]), d["rmse"]
 
 
 def run_method(

@@ -22,6 +22,7 @@ make concurrent readers safe.
 from __future__ import annotations
 
 import threading
+from math import comb
 from typing import Sequence
 
 from .errors import DomainError, require_int
@@ -75,8 +76,6 @@ def eulerian_explicit(n: int, k: int) -> int:
 
     Exact integers throughout.  Requires ``0 <= k <= n``.
     """
-    from math import comb
-
     require_int(n, "n", 0)
     require_int(k, "k", 0)
     if k > n:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .derivpoly import RiccatiParams, characteristic_level, riccati_nth_derivative
+from .errors import DomainError, require_int
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,19 @@ def logistic_eval(params: LogisticParams, t: float) -> float:
     return params.u_max * w / (w + params.a)
 
 
+def logistic_nth_derivative(lp: LogisticParams, n: int, t: float) -> float:
+    """n-th time derivative of the curve at ``t``.
+
+    The curve solves u' = r (u - 0)(u - u_max) with r = -c/u_max, so for
+    n >= 2 this is riccati_nth_derivative at u(t); n = 1 is the rate.
+    """
+    require_int(n, "derivative order", 1)
+    u = logistic_eval(lp, t)
+    if n == 1:
+        return lp.c1 * u * (lp.u_max - u)
+    return riccati_nth_derivative(RiccatiParams(-lp.c1, 0.0, lp.u_max), n, u)
+
+
 def params_from_initial(u_max: float, u0: float, c: float) -> LogisticParams:
     """Build parameters from the initial value instead of the shape factor.
 
@@ -95,6 +109,4 @@ def characteristic_time(params: LogisticParams, n: int) -> float:
     This is where the curve crosses ``characteristic_level(n) * u_max``.
     For n = 2 it is the inflection point at half saturation.
     """
-    from .derivpoly import characteristic_level
-
     return level_crossing_time(params, characteristic_level(n) * params.u_max)

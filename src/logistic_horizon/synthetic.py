@@ -26,6 +26,7 @@ benchmark here could resolve.  Gaussian noise is additive on levels.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 from .errors import CharacteristicPointNotFound, DomainError, LogisticHorizonError, require_int
@@ -151,6 +152,7 @@ def benchmark_estimators(specs, truncations) -> list[dict]:
     One row per spec x truncation x method, in that nesting order.
     Estimator failures land in the row's status field ("not-found" for
     a missing characteristic point); the table itself always completes.
+    Estimates at or below their prefix's maximum give one RuntimeWarning.
     """
     specs = list(specs)
     truncations = list(truncations)
@@ -160,31 +162,39 @@ def benchmark_estimators(specs, truncations) -> list[dict]:
             if k > spec.n_points:
                 raise DomainError(f"truncation {k} must lie in [1, n_points={spec.n_points}]")
     rows = []
-    for spec_index, spec in enumerate(specs):
-        full = generate(spec)
-        values = full.values
-        for k in truncations:
-            prefix = TimeSeries(labels=full.labels[:k], values=values[:k], kind="cumulative")
-            # every method but order-n, which needs an order
-            for method in METHODS[:-1]:
-                row = {
-                    "spec_index": spec_index,
-                    "u_max": spec.params.u_max,
-                    "n_points": spec.n_points,
-                    "truncation": k,
-                    "method": method,
-                    "u_max_hat": None,
-                    "rel_error": None,
-                    "status": "ok",
-                }
-                try:
-                    est = run_method(method, prefix)
-                except CharacteristicPointNotFound:
-                    row["status"] = "not-found"
-                except LogisticHorizonError as exc:
-                    row["status"] = f"error: {exc}"
-                else:
-                    row["u_max_hat"] = est.u_max_hat
-                    row["rel_error"] = abs(est.u_max_hat - spec.params.u_max) / spec.params.u_max
-                rows.append(row)
+    below = 0
+    with warnings.catch_warnings():
+        # one warning with the count, not one per row: the table shows each u_max_hat
+        warnings.filterwarnings("ignore", "estimated saturation level", RuntimeWarning)
+        for spec_index, spec in enumerate(specs):
+            full = generate(spec)
+            values = full.values
+            for k in truncations:
+                prefix = TimeSeries(labels=full.labels[:k], values=values[:k], kind="cumulative")
+                # every method but order-n, which needs an order
+                for method in METHODS[:-1]:
+                    row = {
+                        "spec_index": spec_index,
+                        "u_max": spec.params.u_max,
+                        "n_points": spec.n_points,
+                        "truncation": k,
+                        "method": method,
+                        "u_max_hat": None,
+                        "rel_error": None,
+                        "status": "ok",
+                    }
+                    try:
+                        est = run_method(method, prefix)
+                    except CharacteristicPointNotFound:
+                        row["status"] = "not-found"
+                    except LogisticHorizonError as exc:
+                        row["status"] = f"error: {exc}"
+                    else:
+                        row["u_max_hat"] = est.u_max_hat
+                        row["rel_error"] = abs(est.u_max_hat - spec.params.u_max) / spec.params.u_max
+                        below += not est.diagnostics["exceeds_max_observed"]
+                    rows.append(row)
+    if below:
+        message = f"estimated saturation level does not exceed the largest observed value in {below} rows"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     return rows

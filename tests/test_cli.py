@@ -2,10 +2,12 @@
 
 import io
 import json
+import warnings
 
 import pytest
 
-from logistic_horizon import ParseError, get_fixture
+from logistic_horizon import GenSpec, LogisticParams, ParseError, generate, get_fixture
+from logistic_horizon import cli
 from logistic_horizon.cli import read_csv_series, run
 
 
@@ -116,15 +118,20 @@ def test_estimate_nlls_method():
 
 
 @pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
-@pytest.mark.parametrize("method", ["polyfit", "nlls"])
-def test_estimate_on_a_raw_csv_needs_levels(method):
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--method", "polyfit", "--degree", "6"], ["estimate", "--method", "nlls"], ["fit"]],
+    ids=["polyfit", "nlls", "fit"],
+)
+def test_estimate_on_a_raw_csv_needs_levels(argv):
     csv = "".join(f"{i},{v}\n" for i, v in enumerate((1, 3, 8, 20, 41, 60, 72, 78, 80)))
-    rc, out, err = _run(["estimate", "-", "--method", method], stdin_text=csv)
+    rc, out, err = _run([*argv, "-"], stdin_text=csv)
     assert (rc, out) == (1, "")
     assert err == "error: estimators need a cumulative (level) series; cumulate raw counts first\n"
     for flags in (["--kind", "cumulative"], ["--cumulate"]):
-        rc, out, _ = _run(["estimate", "-", "--method", method, "--degree", "6", *flags], stdin_text=csv)
-        assert rc == 0 and json.loads(out)["method"] == method
+        rc, out, _ = _run([*argv, "-", *flags], stdin_text=csv)
+        payload = json.loads(out)
+        assert rc == 0 and (list(payload) == ["u_max", "a", "c"] if argv == ["fit"] else payload["method"] == argv[2])
 
 
 def test_estimate_order_n_requires_n():
@@ -268,6 +275,24 @@ def test_bench_csv_and_determinism(tmp_path):
     assert {r["method"] for r in rows} == {"scd", "sld", "polyfit", "nlls"}
 
 
+def test_bench_warns_once_per_run(tmp_path):
+    spec = {"u_max": 1000, "a": 200, "c": 0.4, "n_points": 41, "noise_sd": 1, "seed": 3}
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"specs": [spec], "truncations": list(range(9, 42))}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, _ = _run(["bench", "--config", str(config), "--format", "json"])
+    assert rc == 0
+    values = generate(GenSpec(LogisticParams(1000, 200, 0.4), 41, noise_sd=1, seed=3)).values
+    below = sum(
+        r["u_max_hat"] is not None and r["u_max_hat"] <= max(values[: r["truncation"]])
+        for r in json.loads(out)
+    )
+    assert below > 1
+    assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, cli.__file__)]
+    assert str(caught[0].message).endswith(f"largest observed value in {below} rows")
+
+
 @pytest.mark.parametrize("fields", [{"n_points": 12.9}, {"n_points": 12, "seed": 1.7}])
 def test_bench_refuses_fractional_integer_fields(tmp_path, fields):
     config = tmp_path / "bench.json"
@@ -294,3 +319,7 @@ def test_fixture_and_path_are_exclusive():
     )
     assert rc == 1
     assert "error:" in err
+    # a fixture carries its own kind: --kind beside it is refused, not dropped
+    rc, out, err = _run(["estimate", "--fixture", "loyalty-nlc", "--kind", "cumulative"])
+    assert (rc, out) == (1, "")
+    assert err == "error: --kind is for CSV input: fixture loyalty-nlc is raw; --cumulate makes levels\n"

@@ -488,14 +488,14 @@ def test_below_max_warning_names_the_caller():
 LEVELS_ONLY = "estimators need a cumulative (level) series; cumulate raw counts first"
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", [*METHODS, "fit_logistic_nlls"])
 def test_every_estimator_refuses_a_raw_series_first(method):
-    # the same refusal from every method, before any length or fit check
+    # the same refusal from every method and the fitter, before any length or fit check
     raw = get_fixture("medical-qmd").series
     too_short = TimeSeries(tuple("abc"), (1.0, 2.0, 4.0), "raw")
     for ts in (raw, too_short):
         with pytest.raises(DomainError) as info:
-            run_method(method, ts, n=4)
+            fit_logistic_nlls(ts) if method == "fit_logistic_nlls" else run_method(method, ts, n=4)
         assert str(info.value) == LEVELS_ONLY
 
 

@@ -1,8 +1,11 @@
-"""Every module-level import in the package is used.
+"""Import hygiene of the package, by plain ``ast`` walks, so no linter
+is needed.
 
-A plain ``ast`` walk, so no linter is needed: a name bound by a
-top-level ``import`` or ``from ... import`` must be read somewhere in
-its module, or be listed in ``__all__``.
+* A name bound by a top-level ``import`` or ``from ... import`` must be
+  read somewhere in its module, or be listed in ``__all__``.
+* No function imports: every dependency shows at the top of its module.
+* The package's ``from .x import`` graph has no cycle, so the layers
+  import in one direction only.
 """
 
 import ast
@@ -34,6 +37,57 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def imports_in_functions(source: str) -> list[str]:
+    tree = ast.parse(source)
+    return [
+        f"line {node.lineno}: in {func.name}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def package_graph(paths) -> dict[str, set[str]]:
+    """Module name -> the package modules it imports from, wherever the
+    import stands."""
+    graph = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[path.stem] = {
+            node.module or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+    return graph
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One import path that returns to where it started, or []."""
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            return path[path.index(name) :] + [name]
+        if name in done:
+            return []
+        path.append(name)
+        for dep in sorted(graph.get(name, ())):
+            cycle = visit(dep)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(name)
+        return []
+
+    for name in sorted(graph):
+        cycle = visit(name)
+        if cycle:
+            return cycle
+    return []
+
+
 def test_checker_flags_only_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -50,3 +104,25 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checkers_flag_function_imports_and_cycles():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from math import comb\n"
+        "    def g():\n"
+        "        import sys\n"
+    )
+    assert imports_in_functions(source) == ["line 3: in f", "line 5: in f", "line 5: in g"]
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"b"}}) == ["b", "c", "b"]
+    assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert imports_in_functions(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_imports_form_no_cycle():
+    assert find_cycle(package_graph(MODULES)) == []

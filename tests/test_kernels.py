@@ -511,7 +511,7 @@ _CAPPED = (
 @example(_CAPPED)
 def test_lm_refine_matches_reference(inputs):
     y, start = np.array(inputs[0]), inputs[1]
-    got = _lm_refine(y, *start)
+    got = _lm_refine(y, np.arange(len(y), dtype=float), float(y.max()), *start)
     assert _bits(got) == _bits(_ref_lm_refine(y, *start))
     assert all(type(v) is float for v in got[0])
 
