@@ -28,7 +28,6 @@ from .errors import (
 from .eulerian import (
     count_ascents,
     eulerian_explicit,
-    eulerian_number,
     eulerian_row,
 )
 from .derivpoly import (
@@ -47,7 +46,6 @@ from .logistic import (
     level_crossing_time,
     logistic_eval,
     logistic_nth_derivative,
-    params_from_initial,
 )
 from .series import (
     FIRST_LOCAL_MAX,
@@ -100,7 +98,6 @@ __all__ = [
     "ParseError",
     "count_ascents",
     "eulerian_explicit",
-    "eulerian_number",
     "eulerian_row",
     "MAX_DERIV_ORDER",
     "DerivativePolynomial",
@@ -115,7 +112,6 @@ __all__ = [
     "level_crossing_time",
     "logistic_eval",
     "logistic_nth_derivative",
-    "params_from_initial",
     "FIRST_LOCAL_MAX",
     "GLOBAL_MAX",
     "LAST_LOCAL_MAX_BEFORE_DECLINE",

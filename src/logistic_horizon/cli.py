@@ -8,7 +8,7 @@ table), fixtures (dump an embedded dataset).
 
 Exit codes: 0 success, 1 domain or parse errors, 2 usage errors.
 Numeric display defaults to 10 significant digits; override with
---digits or the LOGISTIC_HORIZON_DIGITS environment variable.
+--digits.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import csv as _csv
 import json
 import math
-import os
 import re
 import sys
 
@@ -39,7 +38,6 @@ from .series import (
 )
 from .synthetic import GenSpec, benchmark_estimators, generate
 
-_ENV_DIGITS = "LOGISTIC_HORIZON_DIGITS"
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 
 
@@ -49,23 +47,6 @@ def _fmt(x: float, digits: int) -> str:
 
 def _display_float(x: float, digits: int) -> float:
     return float(_fmt(x, digits))
-
-
-def _resolve_digits(args) -> int:
-    if getattr(args, "digits", None) is not None:
-        digits = args.digits
-    else:
-        env = os.environ.get(_ENV_DIGITS)
-        if env is not None:
-            try:
-                digits = int(env)
-            except ValueError:
-                raise DomainError(f"{_ENV_DIGITS} must be an integer, got {env!r}") from None
-        else:
-            digits = 10
-    if not 1 <= digits <= 17:
-        raise DomainError(f"display digits must lie in [1, 17], got {digits}")
-    return digits
 
 
 def read_csv_series(lines, source: str, kind: str = "raw") -> TimeSeries:
@@ -89,29 +70,19 @@ def read_csv_series(lines, source: str, kind: str = "raw") -> TimeSeries:
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(
-                f"{source}: line {lineno}: expected two comma-separated columns, got {len(parts)}",
-                line=lineno,
+                f"{source}: line {lineno}: expected two comma-separated columns, got {len(parts)}"
             )
         label = parts[0].strip()
         value_text = parts[1].strip()
         if not _NUMBER_RE.fullmatch(value_text):
             raise ParseError(
-                f"{source}: line {lineno}: not a plain decimal number: {value_text!r}",
-                line=lineno,
+                f"{source}: line {lineno}: not a plain decimal number: {value_text!r}"
             )
         labels.append(label)
         values.append(float(value_text))
     if len(values) < 3:
         raise ParseError(f"{source}: need at least 3 data rows, got {len(values)}")
     return TimeSeries(labels=tuple(labels), values=tuple(values), kind=kind)
-
-
-def read_csv(path: str, kind: str = "raw") -> TimeSeries:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return read_csv_series(fh, path, kind)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def _load_series(args, stdin) -> TimeSeries:
@@ -126,7 +97,11 @@ def _load_series(args, stdin) -> TimeSeries:
     elif path is None or path == "-":
         ts = read_csv_series(stdin, "<stdin>", args.kind or "raw")
     else:
-        ts = read_csv(path, args.kind or "raw")
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                ts = read_csv_series(fh, path, args.kind or "raw")
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from None
     return cumulate(ts) if args.cumulate else ts
 
 
@@ -316,7 +291,7 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=None, help="significant digits for numeric output (default 10)")
+    common.add_argument("--digits", type=int, default=10, help="significant digits for numeric output (default 10)")
 
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("csv", nargs="?", default=None, help="input CSV (label,value); '-' or absent reads stdin")
@@ -380,8 +355,9 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        digits = _resolve_digits(args)
-        return _COMMANDS[args.command](args, stdin, stdout, digits)
+        if not 1 <= args.digits <= 17:
+            raise DomainError(f"display digits must lie in [1, 17], got {args.digits}")
+        return _COMMANDS[args.command](args, stdin, stdout, args.digits)
     except LogisticHorizonError as exc:
         print(f"error: {exc}", file=stderr)
         return 1

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import BracketError, DomainError, require_int
+from .errors import BracketError, DomainError, NumericalError, require_int
 from .eulerian import eulerian_row
 
 # Construction cap for derivative order. Integer arithmetic is exact at
@@ -78,7 +78,6 @@ class DerivativePolynomial:
     Eulerian row that generates the factored form."""
 
     deriv_order: int
-    poly_order: int
     monomial_coeffs: tuple[int, ...]
     eulerian_row: tuple[int, ...]
 
@@ -101,7 +100,6 @@ def build_poly(n: int) -> DerivativePolynomial:
             coeffs[k + 1 + j] += sign * row[k] * comb(m, j) * (-1) ** (m - j)
     return DerivativePolynomial(
         deriv_order=n,
-        poly_order=n + 1,
         monomial_coeffs=tuple(coeffs),
         eulerian_row=tuple(row),
     )
@@ -140,10 +138,16 @@ def riccati_nth_derivative(params: RiccatiParams, n: int, u: float) -> float:
     function of the current value ``u``.  Requires ``n >= 2``.
 
         u^(n) = r^n * sum_k A(n,k) (u-u1)^{k+1} (u-u2)^{n-k}
+
+    Raises NumericalError where r**n or the sum leaves float range.
     """
+    # outside the try: DomainError is a ValueError
     _check_order(n, minimum=2)
-    s = _eulerian_sum(eulerian_row(n), n, u - params.u1, u - params.u2, 1)
-    return params.r**n * s
+    try:
+        s = _eulerian_sum(eulerian_row(n), n, u - params.u1, u - params.u2, 1)
+        return params.r**n * s
+    except (OverflowError, ValueError) as exc:
+        raise NumericalError(f"derivative of order {n} at u={u!r} is out of float range: {exc}") from None
 
 
 def _bisect_root(f, a: float, b: float) -> float:

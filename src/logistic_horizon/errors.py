@@ -54,8 +54,4 @@ class CharacteristicPointNotFound(EstimationError):
 
 
 class ParseError(LogisticHorizonError):
-    """Malformed input text. ``line`` is the 1-based offending line number."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+    """Malformed input text. The message names the 1-based offending line."""

@@ -87,8 +87,6 @@ def _horner(cs, x):
 
 
 def _trunc_significant(x: float, digits: int = 3) -> float:
-    if x == 0.0:
-        return 0.0
     shift = digits - 1 - math.floor(math.log10(abs(x)))
     scale = 10.0**shift
     return math.trunc(x * scale) / scale
@@ -349,29 +347,23 @@ def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
         raise DomainError("logistic fitting needs strictly positive values")
     ymax = float(y.max())
     t = np.arange(len(y), dtype=float)
+    # logit transform: ln((cap - y)/y) is affine in t when cap is right.
+    # math.log, left-to-right builtin sum and libm pow keep the starts
+    # bit-stable; np.log, pairwise np.sum and x*x could round otherwise
+    tbar = sum(t.tolist()) / len(y)
+    dt = t - tbar
+    stt = sum(map(pow, dt.tolist(), itertools.repeat(2)))
     fits = []
-    for mult in (1.05, 1.5, 3.0, 10.0):
-        cap = mult * ymax
-        # logit transform: ln((cap - y)/y) is affine in t when cap is right.
-        # math.log, left-to-right builtin sum and libm pow keep the starts
-        # bit-stable; np.log, pairwise np.sum and x*x could round otherwise
-        keep = y < cap
-        if keep.sum() < 2:
+    for cap in (1.05 * ymax, 1.5 * ymax, 3.0 * ymax, 10.0 * ymax):
+        if not cap > ymax:
+            # a subnormal ymax, where 1.05 * ymax rounds back to ymax
             continue
-        v, xs = y[keep], t[keep]
-        zs = np.fromiter(map(math.log, ((cap - v) / v).tolist()), float, len(v))
-        xbar = sum(xs.tolist()) / len(xs)
-        zbar = sum(zs.tolist()) / len(zs)
-        dx = xs - xbar
-        sxx = sum(map(pow, dx.tolist(), itertools.repeat(2)))
-        if sxx == 0:
-            continue
-        slope = sum((dx * (zs - zbar)).tolist()) / sxx
-        a0 = math.exp(zbar - slope * xbar)
+        z = np.fromiter(map(math.log, ((cap - y) / y).tolist()), float, len(y))
+        zbar = sum(z.tolist()) / len(y)
+        slope = sum((dt * (z - zbar)).tolist()) / stt
+        a0 = math.exp(zbar - slope * tbar)
         c0 = -slope if -slope > 0 else 1e-6
         fits.append(_lm_refine(y, t, ymax, cap, a0, c0))
-    if not fits:
-        raise EstimationError("no admissible starting point for the logistic fit")
     # min keeps the earlier start on a tie
     (u_hat, a_hat, c_hat), rmse, converged = min(fits, key=lambda fit: (fit[1], fit[0][0]))
     params = LogisticParams(u_max=u_hat, a=a_hat, c=c_hat)

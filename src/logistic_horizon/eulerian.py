@@ -54,20 +54,6 @@ def eulerian_row(n: int) -> list[int]:
     return list(_rows[n])
 
 
-def eulerian_number(n: int, k: int) -> int:
-    """Eulerian number ``A(n, k)`` via the memoized recurrence.
-
-    ``k`` outside ``[0, n)`` yields 0 for ``n >= 1``; ``A(0, 0)`` is 1.
-    """
-    require_int(n, "n", 0)
-    require_int(k, "k", 0)
-    if k > n:
-        return 0
-    if n >= len(_rows):
-        _extend_rows(n)
-    return _rows[n][k]
-
-
 def eulerian_explicit(n: int, k: int) -> int:
     """``A(n, k)`` from the alternating binomial sum, independent of the
     recurrence:

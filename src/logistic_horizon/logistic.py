@@ -41,11 +41,6 @@ class LogisticParams:
             raise DomainError(f"c must be positive and finite, got {self.c!r}")
 
     @property
-    def u0(self) -> float:
-        """Initial value u(0)."""
-        return self.u_max / (1.0 + self.a)
-
-    @property
     def c1(self) -> float:
         """Coefficient of the quadratic rate form, c / u_max."""
         return self.c / self.u_max
@@ -76,18 +71,6 @@ def logistic_nth_derivative(lp: LogisticParams, n: int, t: float) -> float:
     if n == 1:
         return lp.c1 * u * (lp.u_max - u)
     return riccati_nth_derivative(RiccatiParams(-lp.c1, 0.0, lp.u_max), n, u)
-
-
-def params_from_initial(u_max: float, u0: float, c: float) -> LogisticParams:
-    """Build parameters from the initial value instead of the shape factor.
-
-    Requires ``0 < u0 < u_max``; the shape factor is a = (u_max - u0) / u0.
-    """
-    if not (u_max > 0) or not math.isfinite(u_max):
-        raise DomainError(f"u_max must be positive and finite, got {u_max!r}")
-    if not (0 < u0 < u_max):
-        raise DomainError(f"u0 must lie strictly between 0 and u_max, got {u0!r}")
-    return LogisticParams(u_max=u_max, a=(u_max - u0) / u0, c=c)
 
 
 def level_crossing_time(params: LogisticParams, level: float) -> float:

@@ -3,8 +3,9 @@ import sys
 from hypothesis import settings
 
 # The property tests draw 150 examples each (tests/test_kernels.py,
-# tests/test_conversion.py); `pytest --hypothesis-profile=thorough`
-# draws 2000, with the same settings otherwise.
+# tests/test_conversion.py, tests/test_logistic.py);
+# `pytest --hypothesis-profile=thorough` draws 2000, with the same
+# settings otherwise.
 settings.register_profile("thorough", max_examples=2000, deadline=None, database=None)
 
 

@@ -22,6 +22,7 @@ def test_eulerian_rows():
     rc, out, err = _run(["eulerian", "--n", "3"])
     assert rc == 0 and err == ""
     assert out.splitlines() == ["1", "1\t0", "1\t1\t0", "1\t4\t1\t0"]
+    assert _run(["eulerian", "--n", "-1"]) == (1, "", "error: --n must be >= 0, got -1\n")
 
 
 def test_roots_line():
@@ -30,19 +31,9 @@ def test_roots_line():
     assert out == "0, 0.2113248654, 0.7886751346, 1\n"
 
 
-def test_digits_flag_beats_environment(monkeypatch):
-    monkeypatch.setenv("LOGISTIC_HORIZON_DIGITS", "4")
-    rc, out, _ = _run(["roots", "--order", "4"])
-    assert rc == 0 and out == "0, 0.2113, 0.7887, 1\n"
+def test_digits_flag_beats_environment():
     rc, out, _ = _run(["roots", "--order", "4", "--digits", "3"])
     assert rc == 0 and out == "0, 0.211, 0.789, 1\n"
-
-
-def test_bad_digits_environment(monkeypatch):
-    monkeypatch.setenv("LOGISTIC_HORIZON_DIGITS", "0")
-    rc, _, err = _run(["roots", "--order", "4"])
-    assert rc == 1
-    assert "error:" in err
 
 
 def test_estimate_json_payload():
@@ -188,6 +179,24 @@ def test_csv_parse_errors():
     assert rc == 1 and err.startswith("error:")
 
 
+def test_estimate_reads_a_csv_file(tmp_path):
+    _, csv, _ = _run(["fixtures", "--name", "loyalty-tnlc-window"])
+    path = tmp_path / "window.csv"
+    path.write_text(csv)
+    want = _run(["estimate", "--fixture", "loyalty-tnlc-window"])
+    assert want[0] == 0 and want[2] == ""
+    assert _run(["estimate", str(path), "--kind", "cumulative"]) == want
+
+
+def test_csv_blank_lines_are_skipped():
+    _, csv, _ = _run(["fixtures", "--name", "loyalty-tnlc-window"])
+    lines = csv.splitlines(keepends=True)
+    gappy = "".join(["\n", lines[0], "\n", *lines[1:4], "  \n", *lines[4:]])
+    want = _run(["analyze", "--fixture", "loyalty-tnlc-window"])
+    assert want[0] == 0 and want[2] == ""
+    assert _run(["analyze", "-", "--kind", "cumulative"], stdin_text=gappy) == want
+
+
 def test_read_csv_series_rejects_special_floats():
     for bad in ("nan", "inf", "-inf", "1_000", "0x10"):
         lines = ["label,value", f"a,{bad}", "b,1", "c,2"]
@@ -238,6 +247,21 @@ def test_fixtures_output():
     assert lines[1] == "48/11,7236"
     rc, out, _ = _run(["fixtures", "--name", "medical-qmd"])
     assert len(out.splitlines()) == 35
+    # non-integer cells print as the shortest repr of the float
+    germany = (
+        0.05, 0.07, 0.10, 0.17, 0.28, 0.58, 0.67, 0.71, 0.77,
+        0.85, 0.95, 1.02, 1.15, 1.27, 1.26, 1.06, 1.10, 1.12,
+    )
+    rc, out, err = _run(["fixtures", "--name", "mobile-germany"])
+    assert (rc, err) == (0, "")
+    assert out == "label,value\n" + "".join(f"{y},{v!r}\n" for y, v in zip(range(1995, 2013), germany))
+    assert out.splitlines()[3] == "1997,0.1"
+    rc, out, err = _run(["fixtures", "--name", "nope"])
+    assert (rc, out) == (1, "")
+    assert err == (
+        "error: unknown fixture 'nope'; available: loyalty-nlc, loyalty-tnlc-window, "
+        "mobile-germany, mobile-slovakia, medical-qmd\n"
+    )
 
 
 def test_fixtures_cumulation_matches_window():
@@ -301,6 +325,26 @@ def test_bench_refuses_fractional_integer_fields(tmp_path, fields):
     rc, out, err = _run(["bench", "--config", str(config)])
     assert (rc, out) == (1, "")
     assert "bad spec at index 0" in err
+
+
+def test_bench_config_errors(tmp_path):
+    missing = tmp_path / "missing.json"
+    rc, out, err = _run(["bench", "--config", str(missing)])
+    assert (rc, out) == (1, "")
+    assert err == f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    broken = tmp_path / "broken.json"
+    broken.write_text("{specs: []}")
+    rc, out, err = _run(["bench", "--config", str(broken)])
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"error: {broken}: invalid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)\n"
+    )
+    no_specs = tmp_path / "no_specs.json"
+    no_specs.write_text(json.dumps({"truncations": [9]}))
+    rc, out, err = _run(["bench", "--config", str(no_specs)])
+    assert (rc, out) == (1, "")
+    assert err == f"error: {no_specs}: config needs 'specs' and 'truncations'\n"
 
 
 def test_exit_codes():

@@ -151,7 +151,7 @@ def test_monomial_coefficients(n):
     p = build_poly(n)
     assert p.monomial_coeffs == EXPECTED_COEFFS[n]
     assert p.deriv_order == n
-    assert p.poly_order == n + 1
+    assert len(p.monomial_coeffs) == n + 2
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -519,3 +520,13 @@ def test_nlls_exceeds_the_largest_observation_on_every_fixture_prefix():
         for n in range(4, len(ts) + 1):
             est = estimate_nlls(TimeSeries(ts.labels[:n], ts.values[:n], "cumulative"))
             assert est.diagnostics["exceeds_max_observed"] is True, (name, n)
+
+
+def test_nlls_keeps_a_subnormal_maximum_below_its_estimate():
+    # 1.05 * max(y) rounds back to max(y) here, so that start is skipped
+    ts = TimeSeries(tuple("abcdef"), tuple(k * 5e-324 for k in range(1, 7)), "cumulative")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_nlls(ts)
+    assert est.u_max_hat > 3e-323
+    assert est.diagnostics["exceeds_max_observed"] is True

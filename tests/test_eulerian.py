@@ -10,7 +10,6 @@ from logistic_horizon import (
     DomainError,
     count_ascents,
     eulerian_explicit,
-    eulerian_number,
     eulerian_row,
 )
 
@@ -33,12 +32,11 @@ def test_known_rows(n):
 
 
 def test_single_values():
-    assert eulerian_number(0, 0) == 1
-    assert eulerian_number(3, 1) == 4
-    assert eulerian_number(7, 3) == 2416
-    assert eulerian_number(1, 1) == 0
-    assert eulerian_number(5, 5) == 0
-    assert eulerian_number(4, 9) == 0
+    assert eulerian_row(0)[0] == 1
+    assert eulerian_row(3)[1] == 4
+    assert eulerian_row(7)[3] == 2416
+    assert eulerian_row(1)[1] == 0
+    assert eulerian_row(5)[5] == 0
 
 
 @pytest.mark.parametrize("n", range(21))
@@ -57,7 +55,7 @@ def test_row_symmetry(n):
 @pytest.mark.parametrize("n", range(13))
 def test_explicit_formula_matches_recurrence(n):
     for k in range(n + 1):
-        assert eulerian_explicit(n, k) == eulerian_number(n, k)
+        assert eulerian_explicit(n, k) == eulerian_row(n)[k]
 
 
 def test_explicit_single_value():
@@ -89,10 +87,6 @@ def test_count_ascents_rejects_non_permutations():
 def test_invalid_indices_rejected():
     with pytest.raises(DomainError):
         eulerian_row(-1)
-    with pytest.raises(DomainError):
-        eulerian_number(-2, 0)
-    with pytest.raises(DomainError):
-        eulerian_number(3, -1)
     with pytest.raises(DomainError):
         eulerian_explicit(3, 4)
     with pytest.raises(DomainError):

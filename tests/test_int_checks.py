@@ -17,7 +17,6 @@ from logistic_horizon import (
     LogisticParams,
     benchmark_estimators,
     characteristic_level,
-    eulerian_number,
     eulerian_row,
     get_fixture,
     higher_order_estimate,
@@ -86,7 +85,6 @@ def test_require_int_accepts_only_ints_at_or_above_the_bound():
     "call, message",
     [
         (lambda: eulerian_row(np.int64(2)), "row index must be an integer >= 0"),
-        (lambda: eulerian_number(2, True), "k must be an integer >= 0"),
         (lambda: eulerian_explicit(-1, 0), "n must be an integer >= 0"),
         (lambda: characteristic_level(np.int64(3)), "derivative order must be an integer >= 2"),
         (lambda: nth_central_diff(GERMANY, 2.0), "difference order must be an integer >= 2"),

@@ -3,22 +3,25 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logistic_horizon import (
     DomainError,
+    LogisticHorizonError,
     LogisticParams,
+    NumericalError,
     characteristic_level,
     characteristic_time,
     level_crossing_time,
     logistic_eval,
     logistic_nth_derivative,
-    params_from_initial,
 )
 
 
 def test_params_accessors():
     lp = LogisticParams(7.0, 17.0, 1.5)
-    assert lp.u0 == pytest.approx(7.0 / 18.0, rel=1e-15)
+    assert logistic_eval(lp, 0.0) == pytest.approx(7.0 / 18.0, rel=1e-15)
     assert lp.c1 == pytest.approx(1.5 / 7.0, rel=1e-15)
 
 
@@ -47,18 +50,6 @@ def test_eval_extreme_arguments_do_not_overflow():
     vals = [logistic_eval(lp, t) for t in ts]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert all(0 <= v <= 7.0 for v in vals)
-
-
-def test_params_from_initial():
-    lp = params_from_initial(18.0, 1.0, 0.5)
-    assert lp.a == pytest.approx(17.0, rel=1e-15)
-    assert logistic_eval(lp, 0.0) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        params_from_initial(18.0, 0.0, 0.5)
-    with pytest.raises(DomainError):
-        params_from_initial(18.0, 18.0, 0.5)
-    with pytest.raises(DomainError):
-        params_from_initial(-1.0, 0.5, 0.5)
 
 
 def test_level_crossing_time_closed_form():
@@ -136,3 +127,35 @@ def test_rate_equation_numerically():
             fd = float((u_plus - u_minus) / (2 * h))
             u = logistic_eval(lp, float(t))
             assert lp.c1 * u * (lp.u_max - u) == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "params, n, t, cause",
+    [
+        ((7.1e5, 6.2e257, 4.2e235), 2, -784.0, "Numerical result out of range"),
+        ((1.4e101, 6.7e5, 2.0), 5, -0.40, "-inf + inf in fsum"),
+    ],
+    ids=["power-overflow", "fsum-inf-minus-inf"],
+)
+def test_nth_derivative_out_of_float_range_is_a_numerical_error(params, n, t, cause):
+    message = f"derivative of order {n} at u=.* is out of float range"
+    with pytest.raises(NumericalError, match=message) as info:
+        logistic_nth_derivative(LogisticParams(*params), n, t)
+    assert cause in str(info.value)
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+wide = st.floats(1e-300, 1e300)
+
+
+# 150 examples, or more under the active profile, such as "thorough"
+# (see conftest.py)
+@settings(deadline=None, database=None, max_examples=max(150, settings.default.max_examples))
+@given(wide, wide, wide, st.integers(1, 25), st.floats(allow_nan=False, allow_infinity=False))
+def test_nth_derivative_returns_a_float_or_raises_a_package_error(u_max, a, c, n, t):
+    lp = LogisticParams(u_max, a, c)
+    try:
+        value = logistic_nth_derivative(lp, n, t)
+    except LogisticHorizonError:
+        return
+    assert isinstance(value, float)
