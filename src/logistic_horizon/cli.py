@@ -56,17 +56,12 @@ def read_csv_series(lines, source: str, kind: str = "raw") -> TimeSeries:
     header.  Values must be plain decimal numbers: no thousands
     separators, no underscores, no nan/inf.
     """
+    rows = [(lineno, line) for lineno, raw in enumerate(lines, start=1) if (line := raw.strip())]
+    if rows and rows[0][1].lower().replace(" ", "") == "label,value":
+        del rows[0]
     labels = []
     values = []
-    first_content = True
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if first_content:
-            first_content = False
-            if line.lower().replace(" ", "") == "label,value":
-                continue
+    for lineno, line in rows:
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(
@@ -82,33 +77,31 @@ def read_csv_series(lines, source: str, kind: str = "raw") -> TimeSeries:
         values.append(float(value_text))
     if len(values) < 3:
         raise ParseError(f"{source}: need at least 3 data rows, got {len(values)}")
-    return TimeSeries(labels=tuple(labels), values=tuple(values), kind=kind)
+    return TimeSeries(labels, values, kind)
 
 
 def _load_series(args, stdin) -> TimeSeries:
-    fixture = getattr(args, "fixture", None)
-    path = getattr(args, "csv", None)
-    if fixture and path:
+    if args.fixture and args.csv:
         raise DomainError("give either a CSV path or --fixture, not both")
-    if fixture:
-        ts = get_fixture(fixture).series
+    if args.fixture:
+        ts = get_fixture(args.fixture).series
         if args.kind:
-            raise DomainError(f"--kind is for CSV input: fixture {fixture} is {ts.kind}; --cumulate makes levels")
-    elif path is None or path == "-":
+            raise DomainError(f"--kind is for CSV input: fixture {args.fixture} is {ts.kind}; --cumulate makes levels")
+    elif args.csv is None or args.csv == "-":
         ts = read_csv_series(stdin, "<stdin>", args.kind or "raw")
     else:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                ts = read_csv_series(fh, path, args.kind or "raw")
+            with open(args.csv, "r", encoding="utf-8") as fh:
+                ts = read_csv_series(fh, args.csv, args.kind or "raw")
         except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from None
+            raise ParseError(f"cannot read {args.csv}: {exc}") from None
     return cumulate(ts) if args.cumulate else ts
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_eulerian(args, stdin, stdout, digits) -> int:
+def _cmd_eulerian(args, stdin, stdout) -> int:
     if args.n < 0:
         raise DomainError(f"--n must be >= 0, got {args.n}")
     for n in range(args.n + 1):
@@ -116,16 +109,12 @@ def _cmd_eulerian(args, stdin, stdout, digits) -> int:
     return 0
 
 
-def _cmd_roots(args, stdin, stdout, digits) -> int:
+def _cmd_roots(args, stdin, stdout) -> int:
     if args.order < 2:
         raise DomainError(f"--order must be >= 2, got {args.order}")
     roots = poly_roots(args.order - 1)
-    print(", ".join(_fmt(r, digits) for r in roots), file=stdout)
+    print(", ".join(_fmt(r, args.digits) for r in roots), file=stdout)
     return 0
-
-
-def _diff_of(args, ts):
-    return second_left_diff(ts) if args.diff == "sld" else second_central_diff(ts)
 
 
 def _print_point(point: CharacteristicPoint, stdout, digits, prefix="characteristic point"):
@@ -140,25 +129,24 @@ def _print_point(point: CharacteristicPoint, stdout, digits, prefix="characteris
         print(f"ambiguous with: {rivals}", file=stdout)
 
 
-def _cmd_analyze(args, stdin, stdout, digits) -> int:
+def _cmd_analyze(args, stdin, stdout) -> int:
     ts = _load_series(args, stdin)
-    ds = _diff_of(args, ts)
+    ds = second_left_diff(ts) if args.diff == "sld" else second_central_diff(ts)
     print("label\tt\tvalue\tdiff", file=stdout)
     for i, (label, v, d) in enumerate(zip(ts.labels, ts.values, ds.values)):
-        cell = "" if d is None else _fmt(d, digits)
-        print(f"{label}\t{i}\t{_fmt(v, digits)}\t{cell}", file=stdout)
+        cell = "" if d is None else _fmt(d, args.digits)
+        print(f"{label}\t{i}\t{_fmt(v, args.digits)}\t{cell}", file=stdout)
     try:
         point = find_characteristic_point(ds, args.policy)
     except CharacteristicPointNotFound as exc:
         print(f"no characteristic point: {exc}", file=stdout)
-        if exc.fallback is not None:
-            _print_point(exc.fallback, stdout, digits, prefix="global-max fallback")
+        _print_point(exc.fallback, stdout, args.digits, prefix="global-max fallback")
         return 0
-    _print_point(point, stdout, digits)
+    _print_point(point, stdout, args.digits)
     return 0
 
 
-def _cmd_estimate(args, stdin, stdout, digits) -> int:
+def _cmd_estimate(args, stdin, stdout) -> int:
     if args.method == "order-n" and args.n is None:
         raise DomainError("--method order-n requires --n")
     ts = _load_series(args, stdin)
@@ -169,13 +157,13 @@ def _cmd_estimate(args, stdin, stdout, digits) -> int:
     if scale >= 1000:
         display = math.trunc(exact)
     else:
-        display = _display_float(exact, digits)
+        display = _display_float(exact, args.digits)
     point = est.char_point
     payload = {
         "method": est.method,
         "u_max_hat": display,
         "u_max_hat_exact": exact,
-        "constant_used": None if est.constant_used is None else _display_float(est.constant_used, digits),
+        "constant_used": None if est.constant_used is None else _display_float(est.constant_used, args.digits),
         "char_index": None if point is None else point.index,
         "char_label": None if point is None else point.label,
         "char_value": None if point is None else point.series_value,
@@ -192,10 +180,10 @@ def _cmd_estimate(args, stdin, stdout, digits) -> int:
     return 0
 
 
-def _cmd_fit(args, stdin, stdout, digits) -> int:
+def _cmd_fit(args, stdin, stdout) -> int:
     ts = _load_series(args, stdin)
     params, _rmse = fit_logistic_nlls(ts)
-    payload = {name: _display_float(getattr(params, name), digits) for name in ("u_max", "a", "c")}
+    payload = {name: _display_float(getattr(params, name), args.digits) for name in ("u_max", "a", "c")}
     print(json.dumps(payload, indent=2), file=stdout)
     return 0
 
@@ -206,7 +194,7 @@ def _csv_cell(v: float) -> str:
     return repr(v)
 
 
-def _cmd_simulate(args, stdin, stdout, digits) -> int:
+def _cmd_simulate(args, stdin, stdout) -> int:
     spec = GenSpec(
         params=LogisticParams(u_max=args.umax, a=args.a, c=args.c),
         n_points=args.n,
@@ -222,7 +210,7 @@ def _cmd_simulate(args, stdin, stdout, digits) -> int:
     return 0
 
 
-def _cmd_bench(args, stdin, stdout, digits) -> int:
+def _cmd_bench(args, stdin, stdout) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -251,42 +239,21 @@ def _cmd_bench(args, stdin, stdout, digits) -> int:
         print(json.dumps(rows, indent=2), file=stdout)
         return 0
     writer = _csv.writer(stdout, lineterminator="\n")
-    header = ["spec_index", "u_max", "n_points", "truncation", "method", "u_max_hat", "rel_error", "status"]
-    writer.writerow(header)
+    # the header is literal: a table can have no rows
+    writer.writerow(["spec_index", "u_max", "n_points", "truncation", "method", "u_max_hat", "rel_error", "status"])
     for row in rows:
         writer.writerow(
-            [
-                row["spec_index"],
-                _fmt(row["u_max"], digits),
-                row["n_points"],
-                row["truncation"],
-                row["method"],
-                "" if row["u_max_hat"] is None else _fmt(row["u_max_hat"], digits),
-                "" if row["rel_error"] is None else _fmt(row["rel_error"], digits),
-                row["status"],
-            ]
+            "" if v is None else _fmt(v, args.digits) if isinstance(v, float) else v for v in row.values()
         )
     return 0
 
 
-def _cmd_fixtures(args, stdin, stdout, digits) -> int:
+def _cmd_fixtures(args, stdin, stdout) -> int:
     fixture = get_fixture(args.name)
     print("label,value", file=stdout)
     for label, value in zip(fixture.series.labels, fixture.series.values):
         print(f"{label},{_csv_cell(value)}", file=stdout)
     return 0
-
-
-_COMMANDS = {
-    "eulerian": _cmd_eulerian,
-    "roots": _cmd_roots,
-    "analyze": _cmd_analyze,
-    "estimate": _cmd_estimate,
-    "fit": _cmd_fit,
-    "simulate": _cmd_simulate,
-    "bench": _cmd_bench,
-    "fixtures": _cmd_fixtures,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,16 +273,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eulerian", parents=[common], help="print Eulerian-number rows 0..N")
+    p.set_defaults(run=_cmd_eulerian)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("roots", parents=[common], help="roots of the derivative polynomial of the given order")
+    p.set_defaults(run=_cmd_roots)
     p.add_argument("--order", type=int, required=True, help="polynomial order (2 or more)")
 
     p = sub.add_parser("analyze", parents=[common, data], help="difference table and characteristic point")
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("--diff", choices=("scd", "sld"), default="scd")
     p.add_argument("--policy", choices=POLICIES, default="first-local-max")
 
     p = sub.add_parser("estimate", parents=[common, data], help="estimate the saturation level")
+    p.set_defaults(run=_cmd_estimate)
     p.add_argument("--method", choices=METHODS, default="scd")
     p.add_argument("--n", type=int, default=None, help="derivative order for --method order-n")
     p.add_argument("--constant", choices=("exact", "paper"), default="exact", help="characteristic constant mode")
@@ -324,8 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("fit", parents=[common, data], help="full logistic fit by nonlinear least squares")
+    p.set_defaults(run=_cmd_fit)
 
     p = sub.add_parser("simulate", parents=[common], help="emit a synthetic logistic series as CSV")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--umax", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
@@ -336,10 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bench", parents=[common], help="benchmark estimators on synthetic series")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--config", required=True, help="JSON file with 'specs' and 'truncations'")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("fixtures", parents=[common], help="print an embedded dataset as CSV")
+    p.set_defaults(run=_cmd_fixtures)
     p.add_argument("--name", required=True, help=f"one of: {', '.join(FIXTURE_NAMES)}")
 
     return parser
@@ -357,7 +332,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     try:
         if not 1 <= args.digits <= 17:
             raise DomainError(f"display digits must lie in [1, 17], got {args.digits}")
-        return _COMMANDS[args.command](args, stdin, stdout, args.digits)
+        return args.run(args, stdin, stdout)
     except LogisticHorizonError as exc:
         print(f"error: {exc}", file=stderr)
         return 1

@@ -139,13 +139,15 @@ def riccati_nth_derivative(params: RiccatiParams, n: int, u: float) -> float:
 
         u^(n) = r^n * sum_k A(n,k) (u-u1)^{k+1} (u-u2)^{n-k}
 
-    Raises NumericalError where r**n or the sum leaves float range.
+    Raises NumericalError where r**n or the sum leaves float range.  A
+    sum of exactly 0 (as at u == u1 or u == u2) gives 0, whatever r**n.
     """
     # outside the try: DomainError is a ValueError
     _check_order(n, minimum=2)
     try:
         s = _eulerian_sum(eulerian_row(n), n, u - params.u1, u - params.u2, 1)
-        return params.r**n * s
+        # a zero sum takes only the sign of r**n, which may overflow
+        return (params.r**n if s else math.copysign(1.0, params.r) ** n) * s
     except (OverflowError, ValueError) as exc:
         raise NumericalError(f"derivative of order {n} at u={u!r} is out of float range: {exc}") from None
 

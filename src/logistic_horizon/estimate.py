@@ -138,12 +138,12 @@ def _finish(ts, method, u_max_hat, constant, point, diagnostics) -> SaturationEs
 
 
 def _division_estimate(ts, diff, n, method, constant_mode, policy) -> SaturationEstimate:
-    # the n-th derivative's point needs 3 defined values of an order n-1 stencil
     _require_levels(ts)
+    constant = resolve_constant(n, constant_mode)
+    # the n-th derivative's point needs 3 defined values of an order n-1 stencil
     if len(ts) < n + 2:
         raise DomainError(f"need at least {n + 2} observations for order {n}, got {len(ts)}")
     point = find_characteristic_point(diff(ts), policy)
-    constant = resolve_constant(n, constant_mode)
     diagnostics = {
         "constant_mode": constant_mode,
         "policy": policy,
@@ -249,10 +249,10 @@ def polyfit_estimate(
     if degree % 2:
         raise DomainError(f"degree must be an even integer >= 4, got {degree!r}")
     _require_levels(ts)
+    constant = resolve_constant(3, constant_mode)
     fit = fit_polynomial_lsm(ts, degree)
     x_star = _argmax_second_derivative(fit)
     f_x_star = fit(x_star)
-    constant = resolve_constant(3, constant_mode)
     diagnostics = {
         "degree": degree,
         "coefficients": list(fit.coefficients),
@@ -361,9 +361,15 @@ def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
         z = np.fromiter(map(math.log, ((cap - y) / y).tolist()), float, len(y))
         zbar = sum(z.tolist()) / len(y)
         slope = sum((dt * (z - zbar)).tolist()) / stt
-        a0 = math.exp(zbar - slope * tbar)
+        try:
+            a0 = math.exp(zbar - slope * tbar)
+        except OverflowError:
+            # the logit line meets t = 0 beyond float range: no start from this cap
+            continue
         c0 = -slope if -slope > 0 else 1e-6
         fits.append(_lm_refine(y, t, ymax, cap, a0, c0))
+    if not fits:
+        raise EstimationError("no start of the logistic fit lies in float range")
     # min keeps the earlier start on a tie
     (u_hat, a_hat, c_hat), rmse, converged = min(fits, key=lambda fit: (fit[1], fit[0][0]))
     params = LogisticParams(u_max=u_hat, a=a_hat, c=c_hat)

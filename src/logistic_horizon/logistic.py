@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .derivpoly import RiccatiParams, characteristic_level, riccati_nth_derivative
-from .errors import DomainError, require_int
+from .errors import DomainError, NumericalError, require_int
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,11 @@ def logistic_nth_derivative(lp: LogisticParams, n: int, t: float) -> float:
 
     The curve solves u' = r (u - 0)(u - u_max) with r = -c/u_max, so for
     n >= 2 this is riccati_nth_derivative at u(t); n = 1 is the rate.
+    Raises NumericalError when c / u_max is 0 or inf in floats.
     """
     require_int(n, "derivative order", 1)
+    if not 0.0 < lp.c1 < math.inf:
+        raise NumericalError(f"c / u_max is out of float range: {lp.c!r} / {lp.u_max!r} gives {lp.c1!r}")
     u = logistic_eval(lp, t)
     if n == 1:
         return lp.c1 * u * (lp.u_max - u)

@@ -2,8 +2,7 @@ import sys
 
 from hypothesis import settings
 
-# The property tests draw 150 examples each (tests/test_kernels.py,
-# tests/test_conversion.py, tests/test_logistic.py);
+# The property tests draw 150 examples each;
 # `pytest --hypothesis-profile=thorough` draws 2000, with the same
 # settings otherwise.
 settings.register_profile("thorough", max_examples=2000, deadline=None, database=None)

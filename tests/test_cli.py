@@ -31,9 +31,12 @@ def test_roots_line():
     assert out == "0, 0.2113248654, 0.7886751346, 1\n"
 
 
-def test_digits_flag_beats_environment():
+def test_digits_flag():
     rc, out, _ = _run(["roots", "--order", "4", "--digits", "3"])
     assert rc == 0 and out == "0, 0.211, 0.789, 1\n"
+    for digits in ("0", "18"):
+        expected = f"error: display digits must lie in [1, 17], got {digits}\n"
+        assert _run(["roots", "--order", "4", "--digits", digits]) == (1, "", expected)
 
 
 def test_estimate_json_payload():
@@ -290,6 +293,9 @@ def test_bench_csv_and_determinism(tmp_path):
     lines = out1.splitlines()
     assert lines[0] == "spec_index,u_max,n_points,truncation,method,u_max_hat,rel_error,status"
     assert len(lines) == 9
+    # one rule per cell: None is empty, a float prints at --digits, the rest as it is
+    assert lines[1] == "0,1000,41,9,scd,,,not-found"
+    assert lines[5] == "0,1000,41,13,scd,1014.780429,0.01478042917,ok"
     not_found = [l for l in lines if "not-found" in l]
     assert any(l.split(",")[4] == "scd" and l.split(",")[3] == "9" for l in not_found)
     rc, out_json, _ = _run(["bench", "--config", str(config), "--format", "json"])

@@ -337,6 +337,8 @@ def test_riccati_params_validation():
         RiccatiParams(0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         RiccatiParams(1.0, 2.0, 2.0)
+    with pytest.raises(DomainError, match="u1 and u2 must be finite"):
+        RiccatiParams(1.0, math.nan, 1.0)
 
 
 def test_riccati_order_validation():

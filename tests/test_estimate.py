@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logistic_horizon import (
     GLOBAL_MAX,
@@ -18,6 +20,7 @@ from logistic_horizon import (
     FIXTURE_NAMES,
     EstimationError,
     GenSpec,
+    LogisticHorizonError,
     LogisticParams,
     NumericalError,
     TimeSeries,
@@ -126,6 +129,9 @@ def test_division_estimator_input_checks():
     flat = TimeSeries(tuple("abcdef"), (2.0,) * 6, "cumulative")
     with pytest.raises(CharacteristicPointNotFound):
         estimate_scd(flat)
+    # the constant mode is refused before detection, which finds no point here
+    with pytest.raises(DomainError, match="constant_mode must be one of"):
+        estimate_scd(flat, constant_mode="paperr")
 
 
 @pytest.mark.parametrize("alpha", [0.5, 3.0, 1000.0])
@@ -326,6 +332,9 @@ def test_polyfit_estimate_rejects_convex_data():
         polyfit_estimate(ts)
     with pytest.raises(EstimationError):
         polyfit_estimate(ts, degree=6)
+    # the constant mode is refused before the fit
+    with pytest.raises(DomainError, match="constant_mode must be one of"):
+        polyfit_estimate(ts, constant_mode="paperr")
 
 
 def test_polyfit_estimate_degree_checks():
@@ -353,7 +362,7 @@ def test_higher_order_four_on_dense_logistic():
     assert paper.constant_used == 0.0917
 
 
-def test_higher_order_input_checks():
+def test_higher_order_input_checks(monkeypatch):
     ts = _window()
     with pytest.raises(DomainError):
         higher_order_estimate(ts, 2)
@@ -362,6 +371,11 @@ def test_higher_order_input_checks():
     short = TimeSeries(tuple("abcdef"), tuple(float(i * i) for i in range(6)), "cumulative")
     with pytest.raises(DomainError):
         higher_order_estimate(short, 5)
+    # the order cap is refused before the order-399 stencil is built
+    monkeypatch.setattr(estimate_module, "nth_central_diff", lambda *args, **kwargs: pytest.fail("stencil built"))
+    long = TimeSeries(map(str, range(10**4)), np.arange(10**4, dtype=float), "cumulative")
+    with pytest.raises(DomainError, match="derivative order 400 exceeds the construction cap 25"):
+        higher_order_estimate(long, 400)
 
 
 def test_nlls_recovers_clean_parameters():
@@ -413,6 +427,10 @@ def test_nlls_input_checks():
     nonpos = TimeSeries(tuple("abcde"), (0.0, 1.0, 2.0, 4.0, 8.0), "cumulative")
     with pytest.raises(DomainError):
         fit_logistic_nlls(nonpos)
+    # every cap's logit line meets t = 0 where exp overflows
+    tiny = TimeSeries(tuple("abcd"), (1e-300, 1e-300, 1e-300, 1.0), "cumulative")
+    with pytest.raises(EstimationError, match="no start of the logistic fit lies in float range"):
+        estimate_nlls(tiny)
 
 
 def test_run_method_passes_each_estimator_its_arguments():
@@ -530,3 +548,29 @@ def test_nlls_keeps_a_subnormal_maximum_below_its_estimate():
         est = estimate_nlls(ts)
     assert est.u_max_hat > 3e-323
     assert est.diagnostics["exceeds_max_observed"] is True
+
+
+ESTIMATORS = [
+    estimate_scd,
+    estimate_sld,
+    lambda ts: polyfit_estimate(ts, 4),
+    lambda ts: polyfit_estimate(ts, 6),
+    estimate_nlls,
+    *(lambda ts, n=n: higher_order_estimate(ts, n) for n in (4, 5, 6)),
+]
+
+
+# 150 examples, or more under the active profile, such as "thorough"
+# (see conftest.py)
+@pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
+@settings(deadline=None, database=None, max_examples=max(150, settings.default.max_examples))
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=30))
+@example([1e-300, 1e-300, 1e-300, 1.0])
+def test_every_estimator_returns_an_estimate_or_raises_a_package_error(y):
+    ts = TimeSeries(map(str, range(len(y))), y, "cumulative")
+    for estimator in ESTIMATORS:
+        try:
+            est = estimator(ts)
+        except LogisticHorizonError:
+            continue
+        assert isinstance(est.u_max_hat, float)

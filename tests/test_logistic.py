@@ -1,6 +1,7 @@
 """Logistic curve evaluation, parameter plumbing, and crossing times."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -132,7 +133,7 @@ def test_rate_equation_numerically():
 @pytest.mark.parametrize(
     "params, n, t, cause",
     [
-        ((7.1e5, 6.2e257, 4.2e235), 2, -784.0, "Numerical result out of range"),
+        ((1.0, 1.0, 1e200), 2, 1e-200, "Numerical result out of range"),
         ((1.4e101, 6.7e5, 2.0), 5, -0.40, "-inf + inf in fsum"),
     ],
     ids=["power-overflow", "fsum-inf-minus-inf"],
@@ -143,6 +144,22 @@ def test_nth_derivative_out_of_float_range_is_a_numerical_error(params, n, t, ca
         logistic_nth_derivative(LogisticParams(*params), n, t)
     assert cause in str(info.value)
     assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+@pytest.mark.parametrize("n, expected", [(2, "0.0"), (3, "-0.0")])
+def test_nth_derivative_is_zero_where_the_eulerian_sum_is_zero(n, expected):
+    # u underflows to 0, where every term of the sum vanishes; r**n alone would overflow
+    lp = LogisticParams(7.1e5, 6.2e257, 4.2e235)
+    assert logistic_eval(lp, -784.0) == 0.0
+    assert repr(logistic_nth_derivative(lp, n, -784.0)) == expected
+
+
+@pytest.mark.parametrize("params, c1", [((1e-300, 1.0, 1e300), "inf"), ((1e300, 1.0, 1e-300), "0.0")])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nth_derivative_refuses_c_over_u_max_out_of_float_range(params, c1, n):
+    message = f"c / u_max is out of float range: {params[2]!r} / {params[0]!r} gives {c1}"
+    with pytest.raises(NumericalError, match=re.escape(message)):
+        logistic_nth_derivative(LogisticParams(*params), n, 0.0)
 
 
 wide = st.floats(1e-300, 1e300)

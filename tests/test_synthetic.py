@@ -93,6 +93,8 @@ def test_gen_spec_validation():
         GenSpec(params=_params(), n_points=10, noise_sd=-1.0)
     with pytest.raises(DomainError):
         GenSpec(params=_params(), n_points=10, seed=1.5)
+    with pytest.raises(DomainError, match="t_start must be finite"):
+        GenSpec(params=_params(), n_points=10, t_start=math.inf)
 
 
 def _bench_specs():
