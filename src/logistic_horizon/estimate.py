@@ -112,7 +112,9 @@ def _require_levels(ts: TimeSeries) -> None:
 def _finish(ts, method, u_max_hat, constant, point, diagnostics) -> SaturationEstimate:
     """Package an estimate, checking it against the largest observation:
     ``exceeds_max_observed`` becomes the last diagnostics key, and a
-    RuntimeWarning names the caller when the bound fails."""
+    RuntimeWarning names the caller when the bound fails; a non-finite level is refused."""
+    if not math.isfinite(u_max_hat):
+        raise NumericalError(f"estimated saturation level {u_max_hat!r} is not finite")
     observed_max = float(ts.array.max())
     exceeds = u_max_hat > observed_max
     if not exceeds:
@@ -268,17 +270,22 @@ def _logistic_residuals(y, t, u_max, a, c):
     # in the last bit on a few percent of inputs, and LM amplifies that
     # into visible changes in the fit (see README "Determinism")
     e = np.fromiter(map(math.exp, (-c * t).tolist()), float, len(t))
-    den = 1.0 + a * e
-    return u_max / den - y, e, den
+    den = a * e
+    den += 1.0
+    res = u_max / den
+    res -= y
+    return res, e, den
 
 
-def _logistic_jacobian(t, u_max, a, e, den):
-    den2 = den * den
-    jac = np.empty((len(t), 3))
-    jac[:, 0] = 1.0 / den
-    jac[:, 1] = -u_max * e / den2
-    jac[:, 2] = u_max * a * t * e / den2
-    return jac
+def _logistic_jacobian(d_u, d_a, d_c, den2, t, u_max, a, e, den):
+    # fills the column views of a C-ordered (n, 3) jac by their scalar formulas
+    np.multiply(den, den, out=den2)
+    np.divide(1.0, den, out=d_u)
+    np.multiply(-u_max, e, out=d_a)
+    d_a /= den2
+    np.multiply(u_max * a, t, out=d_c)
+    d_c *= e
+    d_c /= den2
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -289,22 +296,25 @@ def _lm_refine(y, t, ymax, u_max, a, c):
     positive) are rejected and the damping raised, same as steps that
     fail to reduce the error.  A singular system solves to nan and is
     rejected the same way.  Overflow gives inf without a warning, as in
-    scalar float code.
+    scalar float code.  Work arrays are made once per call, not per step.
     """
     p = (float(u_max), float(a), float(c))
     res, e, den = _logistic_residuals(y, t, *p)
     sse = float(res @ res)
+    jac, den2 = np.empty((len(t), 3)), np.empty(len(t))
+    cols = tuple(jac.T)
+    damp = np.zeros((3, 3))  # h's diagonal, exact zeros elsewhere
+    damp_diag = damp.reshape(9)[::4]
     lam = 1e-3
-    converged = False
     for _ in range(200):
-        jac = _logistic_jacobian(t, p[0], p[1], e, den)
+        _logistic_jacobian(*cols, den2, t, p[0], p[1], e, den)
         h = jac.T @ jac
-        g = jac.T @ res
-        h_diag, neg_g = np.diag(h.diagonal()), -g
-        accepted = False
+        neg_g = jac.T @ res
+        np.negative(neg_g, out=neg_g)
+        damp_diag[:] = h.diagonal()
         for _ in range(50):
             # np.linalg.solve's own LAPACK gufunc, without its wrapper's cost per call
-            step = _solve1(h + lam * h_diag, neg_g).tolist()
+            step = _solve1(h + lam * damp, neg_g).tolist()
             q = (p[0] + step[0], p[1] + step[1], p[2] + step[2])
             if not (q[0] > ymax and q[1] > 0 and q[2] > 0):
                 lam *= 10.0
@@ -312,23 +322,26 @@ def _lm_refine(y, t, ymax, u_max, a, c):
             res_q, e_q, den_q = _logistic_residuals(y, t, *q)
             sse_q = float(res_q @ res_q)
             if sse_q <= sse:
-                # every ratio below the bound is max(ratios) below it, nan included
-                converged = all(abs(s) / max(abs(v), 1e-300) < 1e-10 for s, v in zip(step, p))
+                # every ratio below the bound, nan failing as in max(ratios)
+                converged = (
+                    abs(step[0]) / max(abs(p[0]), 1e-300) < 1e-10
+                    and abs(step[1]) / max(abs(p[1]), 1e-300) < 1e-10
+                    and abs(step[2]) / max(abs(p[2]), 1e-300) < 1e-10
+                )
                 p, res, e, den, sse = q, res_q, e_q, den_q, sse_q
                 lam = max(lam * 0.3, 1e-12)
-                accepted = True
                 break
             lam *= 10.0
-        if not accepted:
+        else:
             # no direction improves: stationary to working precision
             converged = True
             break
         if converged:
             break
-    rmse = math.sqrt(sse / len(y))
-    return p, rmse, converged
+    return p, math.sqrt(sse / len(y)), converged
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
     """Fit u_max/(1 + a e^{-ct}) to the values against t = 0..n-1.
 
@@ -365,6 +378,8 @@ def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
             a0 = math.exp(zbar - slope * tbar)
         except OverflowError:
             # the logit line meets t = 0 beyond float range: no start from this cap
+            continue
+        if not math.isfinite(a0):  # an overflowed logit, quiet under errstate: no start either
             continue
         c0 = -slope if -slope > 0 else 1e-6
         fits.append(_lm_refine(y, t, ymax, cap, a0, c0))

@@ -52,7 +52,7 @@ class TimeSeries:
 
     def __init__(self, labels, values, kind: str = "raw"):
         labels = tuple(labels)
-        if set(map(type, labels)) - {str}:  # exact str labels stay as given
+        if list(map(type, labels)).count(str) != len(labels):  # exact str labels stay as given
             labels = tuple(map(str, labels))
         y = np.fromiter(values, float)  # each value as float() reads it; None becomes nan
         if len(labels) != len(y):

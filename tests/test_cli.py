@@ -128,6 +128,12 @@ def test_estimate_on_a_raw_csv_needs_levels(argv):
         assert rc == 0 and (list(payload) == ["u_max", "a", "c"] if argv == ["fit"] else payload["method"] == argv[2])
 
 
+def test_estimate_refuses_a_level_out_of_float_range():
+    levels = "a,0\nb,1e307\nc,5e307\nd,1.6e308\ne,1.7e308\nf,1.75e308\n"
+    got = _run(["estimate", "--kind", "cumulative"], levels)
+    assert got == (1, "", "error: estimated saturation level inf is not finite\n")
+
+
 def test_estimate_order_n_requires_n():
     rc, _, err = _run(["estimate", "--fixture", "loyalty-tnlc-window", "--method", "order-n"])
     assert rc == 1

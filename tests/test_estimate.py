@@ -4,7 +4,9 @@ import io
 import itertools
 import math
 import random
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +134,12 @@ def test_division_estimator_input_checks():
     # the constant mode is refused before detection, which finds no point here
     with pytest.raises(DomainError, match="constant_mode must be one of"):
         estimate_scd(flat, constant_mode="paperr")
+    # the level at the point over the fraction overflows: refused, not returned as inf
+    levels = (0.0, 1e307, 5e307, 1.6e308, 1.7e308, 1.75e308)
+    huge = TimeSeries(tuple("abcdef"), levels, "cumulative")
+    for estimator in (estimate_scd, estimate_sld):
+        with pytest.raises(NumericalError, match="^estimated saturation level inf is not finite$"):
+            estimator(huge)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 3.0, 1000.0])
@@ -420,6 +428,38 @@ def test_nlls_is_deterministic():
     assert first == second
 
 
+def _nlls_bits(ts):
+    est = estimate_nlls(ts)
+    d = est.diagnostics
+    return est.u_max_hat.hex(), d["a"].hex(), d["c"].hex(), d["rmse"].hex(), d["converged"]
+
+
+def test_nlls_is_reentrant():
+    # two threads fitting windows of the same lengths (10-34 points, where
+    # two or more fixtures have a window) at once give a serial run's
+    # bits, so no work array is shared between calls; a short switch
+    # interval makes them take turns inside the damped least-squares loop
+    windows = []
+    for name in FIXTURE_NAMES:
+        ts = get_fixture(name).series
+        ts = cumulate(ts) if ts.kind == "raw" else ts
+        for n in range(10, min(len(ts), 34) + 1):
+            windows.append(TimeSeries(ts.labels[:n], ts.values[:n], "cumulative"))
+    windows.sort(key=len)
+    parts = (windows[0::2], windows[1::2])
+    serial = [[_nlls_bits(ts) for ts in part] for part in parts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            fits = pool.map(lambda part: [_nlls_bits(ts) for ts in part], parts, timeout=120)
+            threaded = list(fits)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+@pytest.mark.filterwarnings("error")
 def test_nlls_input_checks():
     short = TimeSeries(tuple("abc"), (1.0, 2.0, 4.0), "cumulative")
     with pytest.raises(DomainError):
@@ -431,6 +471,11 @@ def test_nlls_input_checks():
     tiny = TimeSeries(tuple("abcd"), (1e-300, 1e-300, 1e-300, 1.0), "cumulative")
     with pytest.raises(EstimationError, match="no start of the logistic fit lies in float range"):
         estimate_nlls(tiny)
+    # (cap - y) / y overflows at the subnormal value for every cap, so each
+    # start is nan and is skipped, with no numpy warning on the way
+    subnormal = TimeSeries(tuple("abcd"), (5e-324, 1.0, 2.0, 3.0), "cumulative")
+    with pytest.raises(EstimationError, match="no start of the logistic fit lies in float range"):
+        estimate_nlls(subnormal)
 
 
 def test_run_method_passes_each_estimator_its_arguments():
@@ -566,6 +611,8 @@ ESTIMATORS = [
 @settings(deadline=None, database=None, max_examples=max(150, settings.default.max_examples))
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=30))
 @example([1e-300, 1e-300, 1e-300, 1.0])
+@example([0.0, 1e307, 5e307, 1.6e308, 1.7e308, 1.75e308])
+@example([5e-324, 1.0, 2.0, 3.0])
 def test_every_estimator_returns_an_estimate_or_raises_a_package_error(y):
     ts = TimeSeries(map(str, range(len(y))), y, "cumulative")
     for estimator in ESTIMATORS:
@@ -574,3 +621,4 @@ def test_every_estimator_returns_an_estimate_or_raises_a_package_error(y):
         except LogisticHorizonError:
             continue
         assert isinstance(est.u_max_hat, float)
+        assert math.isfinite(est.u_max_hat)

@@ -464,7 +464,8 @@ def test_logistic_residuals_match_reference(y, u_max, a, c):
     y = np.array(y)
     t = np.arange(len(y), dtype=float)
     res, e, den = _logistic_residuals(y, t, u_max, a, c)
-    jac = _logistic_jacobian(t, u_max, a, e, den)
+    jac = np.empty((len(t), 3))
+    _logistic_jacobian(*jac.T, np.empty(len(t)), t, u_max, a, e, den)
     want_res, want_jac = _ref_residuals(y, u_max, a, c)
     assert res.tobytes() == want_res.tobytes()
     assert jac.tobytes() == want_jac.tobytes()
