@@ -107,7 +107,10 @@ def build_poly(n: int) -> DerivativePolynomial:
 
 def eval_poly(p: DerivativePolynomial, u: float) -> float:
     """Value of P_{n+1}(u) through the factored form."""
-    s = _eulerian_sum(p.eulerian_row, p.deriv_order, u, u - 1.0, 1)
+    try:
+        s = _eulerian_sum(p.eulerian_row, p.deriv_order, u, u - 1.0, 1)
+    except OverflowError as exc:
+        raise NumericalError(f"P_{p.deriv_order + 1}({u!r}) is out of float range: {exc}") from None
     return -s if p.deriv_order % 2 else s
 
 

@@ -277,17 +277,6 @@ def _logistic_residuals(y, t, u_max, a, c):
     return res, e, den
 
 
-def _logistic_jacobian(d_u, d_a, d_c, den2, t, u_max, a, e, den):
-    # fills the column views of a C-ordered (n, 3) jac by their scalar formulas
-    np.multiply(den, den, out=den2)
-    np.divide(1.0, den, out=d_u)
-    np.multiply(-u_max, e, out=d_a)
-    d_a /= den2
-    np.multiply(u_max * a, t, out=d_c)
-    d_c *= e
-    d_c /= den2
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _lm_refine(y, t, ymax, u_max, a, c):
     """Damped least-squares refinement of one candidate start.
@@ -302,35 +291,39 @@ def _lm_refine(y, t, ymax, u_max, a, c):
     res, e, den = _logistic_residuals(y, t, *p)
     sse = float(res @ res)
     jac, den2 = np.empty((len(t), 3)), np.empty(len(t))
-    cols = tuple(jac.T)
+    d_u, d_a, d_c = jac.T  # column views of a C-ordered jac, filled by their scalar formulas
     damp = np.zeros((3, 3))  # h's diagonal, exact zeros elsewhere
     damp_diag = damp.reshape(9)[::4]
     lam = 1e-3
     for _ in range(200):
-        _logistic_jacobian(*cols, den2, t, p[0], p[1], e, den)
+        np.multiply(den, den, out=den2)
+        np.divide(1.0, den, out=d_u)
+        np.multiply(-p[0], e, out=d_a)
+        d_a /= den2
+        np.multiply(p[0] * p[1], t, out=d_c)
+        d_c *= e
+        d_c /= den2
         h = jac.T @ jac
-        neg_g = jac.T @ res
-        np.negative(neg_g, out=neg_g)
+        g = jac.T @ res
         damp_diag[:] = h.diagonal()
         for _ in range(50):
-            # np.linalg.solve's own LAPACK gufunc, without its wrapper's cost per call
-            step = _solve1(h + lam * damp, neg_g).tolist()
-            q = (p[0] + step[0], p[1] + step[1], p[2] + step[2])
-            if not (q[0] > ymax and q[1] > 0 and q[2] > 0):
-                lam *= 10.0
-                continue
-            res_q, e_q, den_q = _logistic_residuals(y, t, *q)
-            sse_q = float(res_q @ res_q)
-            if sse_q <= sse:
-                # every ratio below the bound, nan failing as in max(ratios)
-                converged = (
-                    abs(step[0]) / max(abs(p[0]), 1e-300) < 1e-10
-                    and abs(step[1]) / max(abs(p[1]), 1e-300) < 1e-10
-                    and abs(step[2]) / max(abs(p[2]), 1e-300) < 1e-10
-                )
-                p, res, e, den, sse = q, res_q, e_q, den_q, sse_q
-                lam = max(lam * 0.3, 1e-12)
-                break
+            # np.linalg.solve's own LAPACK gufunc, without its wrapper's cost per call;
+            # it is odd in g, so p - solve(g) has the bits of p + solve(-g)
+            step = _solve1(h + lam * damp, g).tolist()
+            q = (p[0] - step[0], p[1] - step[1], p[2] - step[2])
+            if q[0] > ymax and q[1] > 0 and q[2] > 0:
+                res_q, e_q, den_q = _logistic_residuals(y, t, *q)
+                sse_q = float(res_q @ res_q)
+                if sse_q <= sse:
+                    # every ratio below the bound, nan failing as in max(ratios)
+                    converged = (
+                        abs(step[0]) / max(abs(p[0]), 1e-300) < 1e-10
+                        and abs(step[1]) / max(abs(p[1]), 1e-300) < 1e-10
+                        and abs(step[2]) / max(abs(p[2]), 1e-300) < 1e-10
+                    )
+                    p, res, e, den, sse = q, res_q, e_q, den_q, sse_q
+                    lam = max(lam * 0.3, 1e-12)
+                    break
             lam *= 10.0
         else:
             # no direction improves: stationary to working precision

@@ -86,7 +86,10 @@ def level_crossing_time(params: LogisticParams, level: float) -> float:
         raise DomainError(
             f"level must lie strictly between 0 and u_max={params.u_max}, got {level!r}"
         )
-    return math.log(params.a * level / (params.u_max - level)) / params.c
+    ratio = params.a * level / (params.u_max - level)
+    if not 2.0**-1022 <= ratio < math.inf:  # not a normal float: the ratio under- or overflowed
+        return (math.log(params.a) + math.log(level) - math.log(params.u_max - level)) / params.c
+    return math.log(ratio) / params.c
 
 
 def characteristic_time(params: LogisticParams, n: int) -> float:

@@ -63,6 +63,17 @@ def test_level_crossing_time_closed_form():
         level_crossing_time(lp, 2.0)
 
 
+@pytest.mark.parametrize(
+    "params, level, expected",
+    [
+        ((1.0, 1e-300, 1.0), 1e-300, -1381.5510557964274),  # a * level underflows to 0
+        ((1e10, 1e300, 1.0), 5e9, 690.7755278982137),  # a * level overflows to inf
+    ],
+)
+def test_level_crossing_time_where_the_ratio_leaves_float_range(params, level, expected):
+    assert level_crossing_time(LogisticParams(*params), level) == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("level_frac", [0.01, 0.1, 0.2113, 0.5, 0.9, 0.999])
 def test_level_crossing_round_trip(level_frac):
     lp = LogisticParams(7.0, 17.0, 1.5)
