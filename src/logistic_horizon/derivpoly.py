@@ -106,9 +106,13 @@ def build_poly(n: int) -> DerivativePolynomial:
 
 
 def eval_poly(p: DerivativePolynomial, u: float) -> float:
-    """Value of P_{n+1}(u) through the factored form."""
+    """Value of P_{n+1}(u) through the factored form.
+
+    Raises NumericalError where a finite ``u`` gives a value out of
+    float range, whether a term or only the sum overflows.
+    """
     try:
-        s = _eulerian_sum(p.eulerian_row, p.deriv_order, u, u - 1.0, 1)
+        s = _in_range(_eulerian_sum(p.eulerian_row, p.deriv_order, u, u - 1.0, 1), u)
     except OverflowError as exc:
         raise NumericalError(f"P_{p.deriv_order + 1}({u!r}) is out of float range: {exc}") from None
     return -s if p.deriv_order % 2 else s
@@ -136,21 +140,29 @@ def _eulerian_sum(row, n: int, x: float, y: float, s: int) -> float:
     return math.fsum(row[k] * xp[k + s] * yp[n - 1 - k + s] for k in range(n))
 
 
+def _in_range(value: float, u: float) -> float:
+    """``value``, or OverflowError where it is not finite although ``u`` is."""
+    if math.isfinite(u) and not math.isfinite(value):
+        raise OverflowError("the result is not finite")
+    return value
+
+
 def riccati_nth_derivative(params: RiccatiParams, n: int, u: float) -> float:
     """n-th derivative of a solution of u' = r (u-u1)(u-u2), as a
     function of the current value ``u``.  Requires ``n >= 2``.
 
         u^(n) = r^n * sum_k A(n,k) (u-u1)^{k+1} (u-u2)^{n-k}
 
-    Raises NumericalError where r**n or the sum leaves float range.  A
-    sum of exactly 0 (as at u == u1 or u == u2) gives 0, whatever r**n.
+    Raises NumericalError where a finite ``u`` gives a value out of
+    float range: r**n, a term, the sum or their product.  A sum of
+    exactly 0 (as at u == u1 or u == u2) gives 0, whatever r**n.
     """
     # outside the try: DomainError is a ValueError
     _check_order(n, minimum=2)
     try:
         s = _eulerian_sum(eulerian_row(n), n, u - params.u1, u - params.u2, 1)
         # a zero sum takes only the sign of r**n, which may overflow
-        return (params.r**n if s else math.copysign(1.0, params.r) ** n) * s
+        return _in_range((params.r**n if s else math.copysign(1.0, params.r) ** n) * s, u)
     except (OverflowError, ValueError) as exc:
         raise NumericalError(f"derivative of order {n} at u={u!r} is out of float range: {exc}") from None
 

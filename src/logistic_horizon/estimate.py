@@ -165,8 +165,14 @@ def estimate_scd(
 def estimate_sld(
     ts: TimeSeries, constant_mode: str = "exact", policy: str = FIRST_LOCAL_MAX
 ) -> SaturationEstimate:
-    """Same as estimate_scd but on the second left difference, the
-    variant available in real time (no lookahead sample needed)."""
+    """Same as estimate_scd but on the second left difference.
+
+    SLD[t] is SCD[t-1], so where scd picks index i and reads y[i], sld
+    picks i + 1 and reads y[i+1], a later and larger level.  It decides
+    no earlier: a strict local maximum needs the difference to its
+    right, SLD[i+2] = SCD[i+1], so both read the same samples, up to
+    y[i+2], before they decide.
+    """
     return _division_estimate(ts, second_left_diff, 3, "sld", constant_mode, policy)
 
 
@@ -266,10 +272,12 @@ def polyfit_estimate(
 
 
 def _logistic_residuals(y, t, u_max, a, c):
-    # math.exp per sample, not np.exp: the SIMD np.exp differs from libm
-    # in the last bit on a few percent of inputs, and LM amplifies that
-    # into visible changes in the fit (see README "Determinism")
-    e = np.fromiter(map(math.exp, (-c * t).tolist()), float, len(t))
+    # libm's exp for every sample, in one call: complex exp is C cexp, not
+    # SIMD, and cexp(x + 0i) is exp(x) * cos(0) = exp(x) for x = -c*t <= 0.
+    # The real SIMD np.exp differs from libm in the last bit on a few
+    # percent of inputs, and LM amplifies that into visible changes in the
+    # fit (see README "Determinism")
+    e = np.exp((-c * t).astype(complex)).real
     den = a * e
     den += 1.0
     res = u_max / den
@@ -277,19 +285,19 @@ def _logistic_residuals(y, t, u_max, a, c):
     return res, e, den
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", under="ignore")
 def _lm_refine(y, t, ymax, u_max, a, c):
     """Damped least-squares refinement of one candidate start.
 
     Steps that leave the feasible region (u_max above the data, a and c
     positive) are rejected and the damping raised, same as steps that
     fail to reduce the error.  A singular system solves to nan and is
-    rejected the same way.  Overflow gives inf without a warning, as in
-    scalar float code.  Work arrays are made once per call, not per step.
+    rejected the same way.  Overflow gives inf and underflow a subnormal
+    or 0 without a warning, as in scalar float code.  Work arrays are made once per call, not per step.
     """
     p = (float(u_max), float(a), float(c))
     res, e, den = _logistic_residuals(y, t, *p)
-    sse = float(res @ res)
+    sse = float(res.dot(res))
     jac, den2 = np.empty((len(t), 3)), np.empty(len(t))
     d_u, d_a, d_c = jac.T  # column views of a C-ordered jac, filled by their scalar formulas
     damp = np.zeros((3, 3))  # h's diagonal, exact zeros elsewhere
@@ -303,8 +311,8 @@ def _lm_refine(y, t, ymax, u_max, a, c):
         np.multiply(p[0] * p[1], t, out=d_c)
         d_c *= e
         d_c /= den2
-        h = jac.T @ jac
-        g = jac.T @ res
+        h = jac.T.dot(jac)
+        g = jac.T.dot(res)
         damp_diag[:] = h.diagonal()
         for _ in range(50):
             # np.linalg.solve's own LAPACK gufunc, without its wrapper's cost per call;
@@ -313,7 +321,7 @@ def _lm_refine(y, t, ymax, u_max, a, c):
             q = (p[0] - step[0], p[1] - step[1], p[2] - step[2])
             if q[0] > ymax and q[1] > 0 and q[2] > 0:
                 res_q, e_q, den_q = _logistic_residuals(y, t, *q)
-                sse_q = float(res_q @ res_q)
+                sse_q = float(res_q.dot(res_q))
                 if sse_q <= sse:
                     # every ratio below the bound, nan failing as in max(ratios)
                     converged = (

@@ -10,6 +10,7 @@ import pytest
 from logistic_horizon import (
     DomainError,
     LogisticParams,
+    NumericalError,
     RiccatiParams,
     build_poly,
     characteristic_level,
@@ -330,6 +331,34 @@ def test_riccati_known_values():
     assert riccati_nth_derivative(RiccatiParams(-1.0, 0.0, 1.0), 2, 0.5) == pytest.approx(0.0, abs=1e-15)
     # term-by-term: 1*(-8) + 4*4 + 1*(-2)
     assert riccati_nth_derivative(RiccatiParams(1.0, 2.0, 5.0), 3, 3.0) == pytest.approx(6.0, abs=1e-12)
+
+
+# fsum's intermediate overflow, a term that overflows to -inf, and a term
+# far past float range, on either side
+@pytest.mark.parametrize("u", [2.0742890763388816e16, 1e17, 1e300, -1e300])
+def test_eval_poly_refuses_a_value_out_of_float_range(u):
+    with pytest.raises(NumericalError, match=r"P_18\(.*\) is out of float range"):
+        eval_poly(build_poly(17), u)
+
+
+def test_eval_poly_keeps_a_non_finite_argument():
+    assert eval_poly(build_poly(17), math.inf) == -math.inf
+    assert math.isnan(eval_poly(build_poly(17), math.nan))
+
+
+@pytest.mark.parametrize(
+    "params, n, u",
+    [
+        ((1.0, 0.0, 1.0), 17, 1e17),  # a term overflows to inf
+        ((1.0, -1e308, 1e308), 3, 1e308),  # u - u1 overflows, so a term is inf * 0
+        ((1e10, 0.0, 1.0), 25, 1e10),  # r**n and the sum are finite, their product is not
+    ],
+    ids=["term", "difference", "product"],
+)
+def test_riccati_refuses_a_value_out_of_float_range(params, n, u):
+    with pytest.raises(NumericalError, match=f"derivative of order {n} at u=.* is out of float range"):
+        riccati_nth_derivative(RiccatiParams(*params), n, u)
+    assert riccati_nth_derivative(RiccatiParams(*params), n, math.inf) == math.inf
 
 
 def test_riccati_params_validation():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from logistic_horizon import (
     GLOBAL_MAX,
     LAST_LOCAL_MAX_BEFORE_DECLINE,
+    POLICIES,
     CharacteristicPointNotFound,
     DomainError,
     FIXTURE_NAMES,
@@ -573,16 +574,50 @@ def test_division_estimators_need_n_plus_two_points(estimator):
     assert estimator(five, policy=GLOBAL_MAX).char_point is not None
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_nlls_exceeds_the_largest_observation_on_every_fixture_prefix():
-    # the fit keeps u_max above max(y), so nlls never warns
+def _fixture_prefixes(shortest):
+    """(fixture name, prefix) for every prefix of at least ``shortest``
+    points of every fixture, raw fixtures cumulated."""
     for name in FIXTURE_NAMES:
         ts = get_fixture(name).series
         if ts.kind == "raw":
             ts = cumulate(ts)
-        for n in range(4, len(ts) + 1):
-            est = estimate_nlls(TimeSeries(ts.labels[:n], ts.values[:n], "cumulative"))
-            assert est.diagnostics["exceeds_max_observed"] is True, (name, n)
+        for n in range(shortest, len(ts) + 1):
+            yield name, TimeSeries(ts.labels[:n], ts.values[:n], "cumulative")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nlls_exceeds_the_largest_observation_on_every_fixture_prefix():
+    # the fit keeps u_max above max(y), so nlls never warns
+    for name, ts in _fixture_prefixes(4):
+        est = estimate_nlls(ts)
+        assert est.diagnostics["exceeds_max_observed"] is True, (name, len(ts))
+
+
+def _estimate_or_refusal(estimator, ts, policy):
+    try:
+        return estimator(ts, policy=policy)
+    except LogisticHorizonError as exc:
+        return exc
+
+
+@pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
+@pytest.mark.parametrize("policy", POLICIES)
+def test_sld_is_scd_read_one_sample_later(policy):
+    # SLD[t] is SCD[t-1]: a strict local maximum needs its right neighbour
+    # under either stencil, so both decide on the same samples
+    lam3 = characteristic_level(3)
+    estimates = 0
+    for name, ts in _fixture_prefixes(5):
+        scd = _estimate_or_refusal(estimate_scd, ts, policy)
+        sld = _estimate_or_refusal(estimate_sld, ts, policy)
+        if isinstance(scd, LogisticHorizonError) or isinstance(sld, LogisticHorizonError):
+            assert type(sld) is type(scd), (name, len(ts))
+            continue
+        i = scd.char_point.index
+        assert sld.char_point.index == i + 1, (name, len(ts))
+        assert sld.u_max_hat == ts.values[i + 1] / lam3, (name, len(ts))
+        estimates += 1
+    assert estimates >= 100
 
 
 def test_nlls_keeps_a_subnormal_maximum_below_its_estimate():

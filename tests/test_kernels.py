@@ -468,6 +468,34 @@ def test_logistic_residuals_match_reference(y, u_max, a, c):
     assert res.tobytes() == want_res.tobytes()
 
 
+# libm's exp through complex exp: cexp(x + 0i) is exp(x) * cos(0), and the
+# residuals rely on that for every x <= 0 they can meet, -c * t with c > 0
+
+# -0.0 and the negative float nearest 0, whose exp rounds to 1; a
+# subnormal result; the last nonzero result and the first zero; -inf
+EXP_EDGES = (-0.0, -5e-324, -708.4, -745.13, -745.14, -math.inf)
+
+
+def _complex_exp(x):
+    return np.exp(np.asarray(x, dtype=float).astype(complex)).real
+
+
+def test_complex_exp_is_libm_exp():
+    grid = np.linspace(-746.0, 0.0, 400_001)
+    # -c * t for c from 1e-12 to 1e3 and t on a 10^4-point axis
+    shapes = -np.outer(np.logspace(-12.0, 3.0, 76), np.arange(0.0, 1e4, 7.0)).ravel()
+    x = np.concatenate([grid, shapes, EXP_EDGES])
+    want = np.fromiter(map(math.exp, x.tolist()), float, len(x))
+    assert _complex_exp(x).tobytes() == want.tobytes()
+    assert math.isnan(_complex_exp([math.nan])[0])
+
+
+@SETTINGS
+@given(st.floats(max_value=0.0, allow_nan=False))
+def test_complex_exp_is_libm_exp_on_any_nonpositive_float(x):
+    assert _complex_exp([x])[0].hex() == math.exp(x).hex()
+
+
 # ------------------------------------------------------- damped least squares
 
 
@@ -499,8 +527,17 @@ _CAPPED = (
 )
 
 
+# 2000 points of a noisy series past its inflection, from a start near
+# the truth and from one whose exp(-c t) underflows through subnormals
+_LONG = generate(
+    GenSpec(LogisticParams(1000.0, 200.0, 0.005), n_points=2000, noise_sd=5.0, seed=1)
+).values
+
+
 @SETTINGS
 @given(lm_inputs())
+@example((_LONG, (1.05 * max(_LONG), 100.0, 0.004)))
+@example((_LONG, (1.5 * max(_LONG), 500.0, 0.5)))
 # exp(-c t) underflows to 0 past t = 0: the damped system is singular
 @example((_logistic_window(20), (1500.0, 200.0, 1000.0)))
 # u_max * a overflows to inf in the Jacobian
