@@ -223,6 +223,9 @@ def _cmd_bench(args, stdin, stdout) -> int:
         truncations = config["truncations"]
     except (KeyError, TypeError):
         raise ParseError(f"{args.config}: config needs 'specs' and 'truncations'") from None
+    for key, value in (("specs", spec_items), ("truncations", truncations)):
+        if not isinstance(value, list):
+            raise ParseError(f"{args.config}: '{key}' must be a list, got {json.dumps(value)}")
     specs = []
     for i, item in enumerate(spec_items):
         try:

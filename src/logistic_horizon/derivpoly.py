@@ -32,9 +32,9 @@ gives P_{n+2} = P'_{n+1} * P_2, so
     roots(P_{n+2}) = {0, 1} union roots(P'_{n+1})
 
 and by Rolle's theorem each consecutive pair of the n+1 simple roots of
-P_{n+1} brackets exactly one root of P'_{n+1}.  The brackets are
-certified, but bisection on them stops at a width of 1e-13, so small
-roots of high order carry a relative error (see :func:`poly_roots`).
+P_{n+1} brackets exactly one root of P'_{n+1}.  A test checks that each
+bracket's ends are nonzero and of opposite sign.  Bisection stops at a
+width of 1e-13, so small high-order roots carry a relative error.
 """
 
 from __future__ import annotations
@@ -169,12 +169,7 @@ def riccati_nth_derivative(params: RiccatiParams, n: int, u: float) -> float:
 
 def _bisect_root(f, a: float, b: float) -> float:
     fa = f(a)
-    fb = f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0) == (fb > 0):
+    if (fa > 0) == (f(b) > 0):
         raise BracketError(f"no sign change on [{a}, {b}]")
     while b - a > _BISECT_TOL:
         mid = 0.5 * (a + b)
@@ -186,7 +181,7 @@ def _bisect_root(f, a: float, b: float) -> float:
         if (fm > 0) == (fa > 0):
             a, fa = mid, fm
         else:
-            b, fb = mid, fm
+            b = mid
     return 0.5 * (a + b)
 
 

@@ -25,7 +25,6 @@ names the caller.  nlls never warns, as its fit keeps u_max above max(y).
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import warnings
@@ -276,8 +275,8 @@ def _logistic_residuals(y, t, u_max, a, c):
     # SIMD, and cexp(x + 0i) is exp(x) * cos(0) = exp(x) for x = -c*t <= 0.
     # The real SIMD np.exp differs from libm in the last bit on a few
     # percent of inputs, and LM amplifies that into visible changes in the
-    # fit (see README "Determinism")
-    e = np.exp((-c * t).astype(complex)).real
+    # fit (see README "Determinism"). The copy frees the complex buffer
+    e = np.exp((-c * t).astype(complex)).real.copy()
     den = a * e
     den += 1.0
     res = u_max / den
@@ -360,20 +359,21 @@ def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
     if y.min() <= 0:
         raise DomainError("logistic fitting needs strictly positive values")
     ymax = float(y.max())
-    t = np.arange(len(y), dtype=float)
-    # logit transform: ln((cap - y)/y) is affine in t when cap is right.
-    # math.log, left-to-right builtin sum and libm pow keep the starts
-    # bit-stable; np.log, pairwise np.sum and x*x could round otherwise
-    tbar = sum(t.tolist()) / len(y)
+    n = len(y)
+    t = np.arange(n, dtype=float)
+    # logit transform: ln((cap - y)/y) is affine in t when cap is right. t's
+    # moments are exact closed forms; math.log and left-to-right builtin sums
+    # keep zbar and slope bit-stable, where np.log and pairwise np.sum could round
+    tbar = (n - 1) / 2
     dt = t - tbar
-    stt = sum(map(pow, dt.tolist(), itertools.repeat(2)))
+    stt = n * (n**2 - 1) / 12
     fits = []
     for cap in (1.05 * ymax, 1.5 * ymax, 3.0 * ymax, 10.0 * ymax):
         if not cap > ymax:
             # a subnormal ymax, where 1.05 * ymax rounds back to ymax
             continue
-        z = np.fromiter(map(math.log, ((cap - y) / y).tolist()), float, len(y))
-        zbar = sum(z.tolist()) / len(y)
+        z = np.fromiter(map(math.log, ((cap - y) / y).tolist()), float, n)
+        zbar = sum(z.tolist()) / n
         slope = sum((dt * (z - zbar)).tolist()) / stt
         try:
             a0 = math.exp(zbar - slope * tbar)

@@ -17,8 +17,6 @@ and any calendar bookkeeping lives in the labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -168,11 +166,6 @@ def second_left_diff(ts: TimeSeries) -> DiffSeries:
     return _second_diff(ts, "sld", 2)
 
 
-@lru_cache(maxsize=32)
-def _signed_binomials(order: int) -> tuple[float, ...]:
-    return tuple(float((-1) ** j * comb(order, j)) for j in range(order + 1))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def nth_central_diff(ts: TimeSeries, order: int) -> DiffSeries:
     """Order-k central difference divided by 2, the SCD generalization.
@@ -187,8 +180,10 @@ def nth_central_diff(ts: TimeSeries, order: int) -> DiffSeries:
     y = ts.array
     m = len(y) - order
     acc = np.zeros(m)  # the +0.0 start fixes the sign of a zero sum
-    for j, coef in enumerate(_signed_binomials(order)):
+    coef = 1  # (-1)^j C(order, j) as an exact int, rounded to float once where it is used
+    for j in range(order + 1):
         acc += coef * y[order - j : order - j + m]
+        coef = coef * (j - order) // (j + 1)
     acc[acc != acc] = np.nan  # inf - inf gives -nan; store the plain nan that None converts to
     return _padded(ts, "scd" if order == 2 else f"central-{order}", acc / 2.0, order // 2)
 

@@ -131,7 +131,7 @@ def generate(spec: GenSpec) -> TimeSeries:
     """Sample the curve, optionally with seeded additive noise.
 
     Values are levels, so the result is a cumulative-kind series ready
-    for every estimator.  Labels carry the time coordinates.
+    for every estimator.  Labels give the times to 15 significant digits.
     """
     seed = spec.seed & _MASK64
     labels = []
@@ -141,7 +141,7 @@ def generate(spec: GenSpec) -> TimeSeries:
         v = logistic_eval(spec.params, t)
         if spec.noise_sd > 0:
             v += spec.noise_sd * normal_variate(seed, i)
-        labels.append(f"{t:g}")
+        labels.append(f"{t:.15g}")
         values.append(v)
     return TimeSeries(labels=tuple(labels), values=tuple(values), kind="cumulative")
 

@@ -357,6 +357,16 @@ def test_bench_config_errors(tmp_path):
     rc, out, err = _run(["bench", "--config", str(no_specs)])
     assert (rc, out) == (1, "")
     assert err == f"error: {no_specs}: config needs 'specs' and 'truncations'\n"
+    not_a_list = tmp_path / "not_a_list.json"
+    for config, key, got in (
+        ({"specs": 5, "truncations": [9]}, "specs", "5"),
+        ({"specs": [], "truncations": 9}, "truncations", "9"),
+        ({"specs": [], "truncations": None}, "truncations", "null"),
+    ):
+        not_a_list.write_text(json.dumps(config))
+        rc, out, err = _run(["bench", "--config", str(not_a_list)])
+        assert (rc, out) == (1, "")
+        assert err == f"error: {not_a_list}: '{key}' must be a list, got {got}\n"
 
 
 def test_exit_codes():

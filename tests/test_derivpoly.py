@@ -424,3 +424,30 @@ def test_finite_difference_consistency(n):
         expected = _fd_oracle(7.0, 17.0, 1.5, n, t)
         got = logistic_nth_derivative(lp, n, t)
         assert got == pytest.approx(expected, rel=1e-4)
+
+
+def test_bisection_brackets_have_nonzero_ends_of_opposite_sign():
+    # _roots(n) bisects S(n, u, u - 1; 0) between consecutive roots of the
+    # order below; no end is a root, so _bisect_root has no exit for one.
+    # Exact-zero midpoints do occur, and its fm == 0.0 return stays
+    from logistic_horizon.derivpoly import _bisect_root, _eulerian_sum
+    from logistic_horizon.eulerian import eulerian_row
+
+    brackets = zero_midpoints = 0
+    for n in range(2, MAX_DERIV_ORDER + 1):
+        row = eulerian_row(n)
+        below = poly_roots(n - 1)
+        for a, b in zip(below, below[1:]):
+            values = []  # f at a, at b, then at each midpoint
+
+            def f(u):
+                values.append(_eulerian_sum(row, n, u, u - 1.0, 0))
+                return values[-1]
+
+            _bisect_root(f, a, b)
+            fa, fb, *midpoints = values
+            assert abs(fa) >= 0.5 and abs(fb) >= 0.5 and (fa > 0) != (fb > 0)
+            zero_midpoints += midpoints.count(0.0)
+            brackets += 1
+    assert brackets == 300
+    assert zero_midpoints > 0

@@ -8,6 +8,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -150,6 +151,52 @@ def test_scd_estimate_scale_equivariant(alpha):
     scaled = TimeSeries(base.labels, tuple(alpha * v for v in base.values), base.kind)
     est_scaled = estimate_scd(scaled)
     assert est_scaled.u_max_hat == pytest.approx(alpha * est.u_max_hat, rel=1e-12)
+
+
+SCALED_ESTIMATORS = {
+    **{
+        f"{name} {policy}": partial(estimator, policy=policy)
+        for policy in POLICIES
+        for name, estimator in (
+            ("scd", estimate_scd),
+            ("sld", estimate_sld),
+            ("order 4", partial(higher_order_estimate, n=4)),
+        )
+    },
+    "polyfit 4": partial(polyfit_estimate, degree=4),
+    "polyfit 6": partial(polyfit_estimate, degree=6),
+}
+
+
+# nlls is left out: scaling moves u_max but not a or c, so its damped 3x3
+# solves see a differently scaled system, and its estimate moves in the last bits
+@pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
+@settings(deadline=None, database=None, max_examples=max(150, settings.default.max_examples))
+@given(
+    st.integers(9, 41),
+    st.sampled_from([0.0, 1.0, 5.0]),
+    st.integers(0, 2**32),
+    st.integers(-30, 30),
+)
+def test_power_of_two_scaling_scales_each_estimate_exactly(n_points, noise_sd, seed, m):
+    # times 2^m every level, stencil value and fitted coefficient is exact,
+    # so each estimate scales exactly, at the same point, or refuses alike
+    base = generate(GenSpec(LogisticParams(1000.0, 200.0, 0.4), n_points, noise_sd=noise_sd, seed=seed))
+    scaled = TimeSeries(base.labels, base.array * 2.0**m, base.kind)
+    for name, estimator in SCALED_ESTIMATORS.items():
+        try:
+            want = estimator(base)
+        except LogisticHorizonError as exc:
+            with pytest.raises(LogisticHorizonError) as refusal:
+                estimator(scaled)
+            assert type(refusal.value) is type(exc), name
+            continue
+        got = estimator(scaled)
+        assert got.u_max_hat == want.u_max_hat * 2.0**m, name
+        if want.char_point is not None:
+            assert got.char_point.index == want.char_point.index, name
+        else:
+            assert got.diagnostics["x_star"] == want.diagnostics["x_star"], name
 
 
 def _exact_normal_equations(values, degree):

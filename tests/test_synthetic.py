@@ -4,6 +4,8 @@ import math
 
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logistic_horizon import (
     DomainError,
@@ -67,6 +69,27 @@ def test_generate_noiseless_equals_curve():
     for i, v in enumerate(ts.values):
         assert v == logistic_eval(_params(), 0.5 * i)
     assert ts.labels[:3] == ("0", "0.5", "1")
+
+
+@pytest.mark.parametrize("t_start, t_step, n_points", [(1995.0, 1 / 365, 8), (1e6, 1.0, 4)])
+def test_generate_labels_are_distinct_and_read_back_as_their_times(t_start, t_step, n_points):
+    ts = generate(GenSpec(params=_params(), n_points=n_points, t_start=t_start, t_step=t_step))
+    assert len(set(ts.labels)) == n_points
+    for i, label in enumerate(ts.labels):
+        assert abs(float(label) - (t_start + i * t_step)) <= 5e-12
+
+
+# 150 examples, or more under the active profile (see conftest.py)
+@settings(deadline=None, database=None, max_examples=max(150, settings.default.max_examples))
+@given(st.integers(-999_999, 999_999), st.integers(0, 300))
+def test_labels_keep_every_time_that_six_digits_render_exactly(digits, scale):
+    # a normal float with at most 6 significant digits below 1e6 in magnitude:
+    # 15 digits print it as 6 did, so short labels are unchanged
+    t = digits / 10**scale
+    assert float(f"{t:g}") == t
+    assert f"{t:.15g}" == f"{t:g}"
+    spec = GenSpec(params=_params(), n_points=3, t_start=t, t_step=1.0)
+    assert generate(spec).labels[0] == f"{t:g}"
 
 
 def test_generate_is_deterministic():
