@@ -53,8 +53,8 @@ def read_csv_series(lines, source: str, kind: str = "raw") -> TimeSeries:
     """Parse label,value rows into a series.
 
     A first line exactly 'label,value' (any case) is treated as a
-    header.  Values must be plain decimal numbers: no thousands
-    separators, no underscores, no nan/inf.
+    header.  Values must be plain decimal numbers in float range: no
+    thousands separators, no underscores, no nan/inf, no 1e999.
     """
     rows = [(lineno, line) for lineno, raw in enumerate(lines, start=1) if (line := raw.strip())]
     if rows and rows[0][1].lower().replace(" ", "") == "label,value":
@@ -73,8 +73,11 @@ def read_csv_series(lines, source: str, kind: str = "raw") -> TimeSeries:
             raise ParseError(
                 f"{source}: line {lineno}: not a plain decimal number: {value_text!r}"
             )
+        value = float(value_text)
+        if math.isinf(value):
+            raise ParseError(f"{source}: line {lineno}: {value_text!r} is out of float range")
         labels.append(label)
-        values.append(float(value_text))
+        values.append(value)
     if len(values) < 3:
         raise ParseError(f"{source}: need at least 3 data rows, got {len(values)}")
     return TimeSeries(labels, values, kind)
@@ -124,9 +127,10 @@ def _print_point(point: CharacteristicPoint, stdout, digits, prefix="characteris
         f"policy {point.policy_used}",
         file=stdout,
     )
-    if point.ambiguity:
-        rivals = "; ".join(f"index {i} (diff {_fmt(v, digits)})" for i, v in point.ambiguity)
-        print(f"ambiguous with: {rivals}", file=stdout)
+    rivals = point.ambiguity  # computed on every read
+    if rivals:
+        text = "; ".join(f"index {i} (diff {_fmt(v, digits)})" for i, v in rivals)
+        print(f"ambiguous with: {text}", file=stdout)
 
 
 def _cmd_analyze(args, stdin, stdout) -> int:
@@ -167,6 +171,7 @@ def _cmd_estimate(args, stdin, stdout) -> int:
         "char_index": None if point is None else point.index,
         "char_label": None if point is None else point.label,
         "char_value": None if point is None else point.series_value,
+        "char_rivals": None if point is None else [[i, v] for i, v in point.ambiguity],
         "diagnostics": est.diagnostics,
     }
     if args.format == "json":

@@ -145,11 +145,7 @@ def _division_estimate(ts, diff, n, method, constant_mode, policy) -> Saturation
     if len(ts) < n + 2:
         raise DomainError(f"need at least {n + 2} observations for order {n}, got {len(ts)}")
     point = find_characteristic_point(diff(ts), policy)
-    diagnostics = {
-        "constant_mode": constant_mode,
-        "policy": policy,
-        "ambiguity": list(point.ambiguity),
-    }
+    diagnostics = {"constant_mode": constant_mode, "policy": policy}
     return _finish(ts, method, point.series_value / constant, constant, point, diagnostics)
 
 

@@ -111,12 +111,14 @@ class DiffSeries:
 class CharacteristicPoint:
     """A detected index, with enough context to audit the decision.
 
-    ambiguity holds rival candidates as (index, diff_value) pairs, in
-    index order: all other strict local maxima plus any defined value
-    close to the winner (within a quarter of the winner's height above
-    the minimum), at most MAX_RIVALS of them, those with the largest
-    diff values (ties to the earlier index).  Rivals are diagnostic
-    only; they never change the selection.
+    diff_series is the difference series the point was found on; ==,
+    hash and repr leave it out.  ambiguity is computed from it when
+    read, as a new tuple each time: rival candidates as (index,
+    diff_value) pairs, in index order, namely all other strict local
+    maxima plus any defined value close to the winner (within a quarter
+    of the winner's height above the minimum), at most MAX_RIVALS of
+    them, those with the largest diff values (ties to the earlier
+    index).  Rivals are diagnostic only; they never change the selection.
     """
 
     index: int
@@ -124,7 +126,13 @@ class CharacteristicPoint:
     diff_value: float
     series_value: float
     policy_used: str
-    ambiguity: tuple[tuple[int, float], ...] = ()
+    diff_series: DiffSeries = field(repr=False, compare=False)
+
+    @property
+    def ambiguity(self) -> tuple[tuple[int, float], ...]:
+        """The rival pairs, computed from diff_series on every read."""
+        a = self.diff_series.array
+        return _ambiguity(self.index, a, _strict_local_maxima(a))
 
 
 @np.errstate(over="ignore")  # a sum that overflows is refused below as not finite
@@ -216,14 +224,14 @@ def _ambiguity(winner: int, a: np.ndarray, maxima: np.ndarray) -> tuple[tuple[in
     return tuple(zip(idx.tolist(), a[idx].tolist()))
 
 
-def _make_point(ds: DiffSeries, a: np.ndarray, maxima: np.ndarray, index: int, policy: str):
+def _make_point(ds: DiffSeries, index: int, policy: str) -> CharacteristicPoint:
     return CharacteristicPoint(
         index=index,
         label=ds.source.labels[index],
-        diff_value=float(a[index]),
+        diff_value=float(ds.array[index]),
         series_value=float(ds.source.array[index]),
         policy_used=policy,
-        ambiguity=_ambiguity(index, a, maxima),
+        diff_series=ds,
     )
 
 
@@ -255,8 +263,8 @@ def find_characteristic_point(ds: DiffSeries, policy: str = FIRST_LOCAL_MAX) -> 
         candidates = maxima[maxima < _first_index_of(a, np.fmin.reduce(a))]
     if policy != GLOBAL_MAX and len(candidates):
         index = candidates[0] if policy == FIRST_LOCAL_MAX else candidates[-1]
-        return _make_point(ds, a, maxima, int(index), policy)
-    top = _make_point(ds, a, maxima, _first_index_of(a, np.fmax.reduce(a)), GLOBAL_MAX)
+        return _make_point(ds, int(index), policy)
+    top = _make_point(ds, _first_index_of(a, np.fmax.reduce(a)), GLOBAL_MAX)
     if policy == GLOBAL_MAX:
         return top
     raise CharacteristicPointNotFound(

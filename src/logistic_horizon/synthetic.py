@@ -131,17 +131,22 @@ def generate(spec: GenSpec) -> TimeSeries:
     """Sample the curve, optionally with seeded additive noise.
 
     Values are levels, so the result is a cumulative-kind series ready
-    for every estimator.  Labels give the times to 15 significant digits.
+    for every estimator.  Labels give the times to 15 significant digits;
+    a spec whose times do not all differ there is refused.
     """
     seed = spec.seed & _MASK64
     labels = []
     values = []
     for i in range(spec.n_points):
         t = spec.t_start + i * spec.t_step
+        label = f"{t:.15g}"
+        # times increase and rounding is monotone, so equal labels are adjacent
+        if labels and label == labels[-1]:
+            raise DomainError(f"times at indices {i - 1} and {i} share the label {label!r}")
         v = logistic_eval(spec.params, t)
         if spec.noise_sd > 0:
             v += spec.noise_sd * normal_variate(seed, i)
-        labels.append(f"{t:.15g}")
+        labels.append(label)
         values.append(v)
     return TimeSeries(labels=tuple(labels), values=tuple(values), kind="cumulative")
 

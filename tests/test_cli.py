@@ -51,6 +51,7 @@ def test_estimate_json_payload():
         "char_index",
         "char_label",
         "char_value",
+        "char_rivals",
         "diagnostics",
     ]
     assert payload["u_max_hat"] == 477611
@@ -58,7 +59,8 @@ def test_estimate_json_payload():
     assert payload["u_max_hat_exact"] == 477611.374407583
     assert payload["constant_used"] == 0.211
     assert payload["char_label"] == "08/12"
-    assert payload["diagnostics"]["ambiguity"] == [[4, 291.5], [7, -97.5]]
+    assert payload["char_rivals"] == [[4, 291.5], [7, -97.5]]
+    assert list(payload["diagnostics"]) == ["constant_mode", "policy", "exceeds_max_observed"]
 
 
 def test_estimate_text_format():
@@ -70,6 +72,7 @@ def test_estimate_text_format():
     assert lines[0] == "method: scd"
     assert "u_max_hat: 477611" in lines
     assert "char_label: 08/12" in lines
+    assert "char_rivals: [[4, 291.5], [7, -97.5]]" in lines
 
 
 def test_estimate_small_scale_keeps_fraction():
@@ -107,7 +110,7 @@ def test_estimate_nlls_method():
     payload = json.loads(out)
     assert payload["method"] == "nlls"
     assert payload["u_max_hat"] == 184655
-    assert payload["char_index"] is None
+    assert payload["char_index"] is None and payload["char_rivals"] is None
     assert payload["diagnostics"]["converged"] is True
 
 
@@ -186,6 +189,17 @@ def test_csv_parse_errors():
     assert rc == 1 and "got 1" in err
     rc, _, err = _run(["analyze", "/no/such/file.csv"])
     assert rc == 1 and err.startswith("error:")
+
+
+def test_csv_value_out_of_float_range_names_its_line():
+    # with a header, the bad value is on line 3, not at series index 1
+    for text in ("1e999", "-1e999"):
+        csv = f"label,value\na,1\nb,{text}\nc,3\n"
+        rc, out, err = _run(["analyze", "-", "--kind", "cumulative"], stdin_text=csv)
+        assert (rc, out) == (1, "")
+        assert err == f"error: <stdin>: line 3: '{text}' is out of float range\n"
+    with pytest.raises(ParseError, match=r"^test: line 2: '1e999' is out of float range$"):
+        read_csv_series(["a,1", "b,1e999", "c,3"], "test", "raw")
 
 
 def test_estimate_reads_a_csv_file(tmp_path):

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,12 +14,17 @@ from logistic_horizon import (
     FIRST_LOCAL_MAX,
     GLOBAL_MAX,
     LAST_LOCAL_MAX_BEFORE_DECLINE,
+    POLICIES,
     CharacteristicPointNotFound,
     DiffSeries,
     DomainError,
+    GenSpec,
     LogisticParams,
     TimeSeries,
+    benchmark_estimators,
     cumulate,
+    estimate_scd,
+    estimate_sld,
     find_characteristic_point,
     get_fixture,
     higher_order_estimate,
@@ -27,6 +33,7 @@ from logistic_horizon import (
     second_central_diff,
     second_left_diff,
 )
+from logistic_horizon import series as series_module
 
 # hand arithmetic on the ten-week cumulative window: each cell is
 # (y[t+1] - 2 y[t] + y[t-1]) / 2, an exact half of an integer
@@ -347,6 +354,77 @@ def test_ambiguity_includes_rival_local_max_even_when_far():
     point = find_characteristic_point(ds)
     assert point.index == 2
     assert dict(point.ambiguity) == {4: 0.5}
+
+
+def _counting_rival_builds():
+    return mock.patch("logistic_horizon.series._ambiguity", wraps=series_module._ambiguity)
+
+
+def _quadratic_levels():
+    # a constant SCD: no strict local maximum under any policy but global-max
+    return TimeSeries(tuple("abcdefgh"), tuple(t * t for t in range(8)), "cumulative")
+
+
+@pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
+def test_detection_and_estimates_build_no_rivals():
+    found = get_fixture("mobile-slovakia").series
+    specs = [GenSpec(LogisticParams(1000.0, 200.0, 0.4), 41, noise_sd=sd) for sd in (0.0, 5.0)]
+    with _counting_rival_builds() as spy:
+        for ts in (found, _quadratic_levels()):
+            for policy in POLICIES:
+                for run in (
+                    lambda: find_characteristic_point(second_central_diff(ts), policy),
+                    lambda: estimate_scd(ts, policy=policy),
+                    lambda: estimate_sld(ts, policy=policy),
+                    lambda: higher_order_estimate(ts, 4, policy=policy),
+                ):
+                    try:
+                        run()
+                    except CharacteristicPointNotFound as exc:
+                        assert exc.fallback.policy_used == GLOBAL_MAX
+        rows = benchmark_estimators(specs, [9, 20, 41])
+    assert {row["status"] for row in rows} >= {"ok", "not-found"}
+    assert spy.call_count == 0
+
+
+def test_each_read_of_the_rivals_builds_them_once():
+    ds = second_central_diff(get_fixture("mobile-slovakia").series)
+    point = find_characteristic_point(ds)
+    with pytest.raises(CharacteristicPointNotFound) as info:
+        find_characteristic_point(second_central_diff(_quadratic_levels()))
+    for p in (point, info.value.fallback):
+        with _counting_rival_builds() as spy:
+            first = p.ambiguity
+            assert spy.call_count == 1
+            assert p.ambiguity == first and spy.call_count == 2
+        a = p.diff_series.array
+        assert first == series_module._ambiguity(p.index, a, series_module._strict_local_maxima(a))
+    assert point.diff_series is ds
+
+
+def test_rivals_survive_pickle_and_deepcopy():
+    est = estimate_scd(_window())
+    with pytest.raises(CharacteristicPointNotFound) as info:
+        find_characteristic_point(second_central_diff(_quadratic_levels()))
+    for point in (est.char_point, info.value.fallback):
+        rivals = point.ambiguity
+        assert rivals  # non-empty, so the comparisons below say something
+        for clone in (pickle.loads(pickle.dumps(point)), copy.deepcopy(point)):
+            assert clone == point and clone.ambiguity == rivals
+    for clone in (pickle.loads(pickle.dumps(est)), copy.deepcopy(est)):
+        assert clone.char_point.ambiguity == est.char_point.ambiguity
+    exc = pickle.loads(pickle.dumps(info.value))
+    assert exc.fallback.ambiguity == info.value.fallback.ambiguity
+
+
+def test_point_equality_hash_and_repr_leave_the_diff_series_out():
+    one, two = (find_characteristic_point(second_central_diff(_window())) for _ in range(2))
+    assert one.diff_series is not two.diff_series
+    assert one == two and hash(one) == hash(two)
+    assert repr(one) == (
+        "CharacteristicPoint(index=3, label='08/12', diff_value=358.0, "
+        "series_value=100776.0, policy_used='first-local-max')"
+    )
 
 
 def test_detector_needs_three_defined_values():

@@ -1,6 +1,7 @@
 """Deterministic synthetic data and the estimator benchmark."""
 
 import math
+import re
 
 import pytest
 import scipy.special
@@ -77,6 +78,17 @@ def test_generate_labels_are_distinct_and_read_back_as_their_times(t_start, t_st
     assert len(set(ts.labels)) == n_points
     for i, label in enumerate(ts.labels):
         assert abs(float(label) - (t_start + i * t_step)) <= 5e-12
+
+
+@pytest.mark.parametrize(
+    "t_start, t_step, label", [(1e15, 1.0, "1e+15"), (0.1, 1e-16, "0.1"), (1e16, 1.0, "1e+16")]
+)
+def test_generate_refuses_times_that_share_a_label(t_start, t_step, label):
+    # distinct floats (equal ones at 1e16) that 15 significant digits print alike
+    spec = GenSpec(params=_params(), n_points=4, t_start=t_start, t_step=t_step)
+    message = f"^times at indices 0 and 1 share the label '{re.escape(label)}'$"
+    with pytest.raises(DomainError, match=message):
+        generate(spec)
 
 
 # 150 examples, or more under the active profile (see conftest.py)
