@@ -266,18 +266,25 @@ def polyfit_estimate(
     return _finish(ts, "polyfit", f_x_star / constant, constant, None, diagnostics)
 
 
-def _logistic_residuals(y, t, u_max, a, c):
-    # libm's exp for every sample, in one call: complex exp is C cexp, not
-    # SIMD, and cexp(x + 0i) is exp(x) * cos(0) = exp(x) for x = -c*t <= 0.
-    # The real SIMD np.exp differs from libm in the last bit on a few
-    # percent of inputs, and LM amplifies that into visible changes in the
-    # fit (see README "Determinism"). The copy frees the complex buffer
-    e = np.exp((-c * t).astype(complex)).real.copy()
-    den = a * e
+def _work_arrays(n):
+    # z, its real part e as a view, den and res: one set per start of nlls
+    z = np.empty(n, complex)
+    return z, z.real, np.empty(n), np.empty(n)
+
+
+def _logistic_residuals(y, t, u_max, a, c, w):
+    # writes e = exp(-c*t), den = 1 + a*e and res = u_max/den - y into the
+    # work arrays w. libm's exp for every sample, in one call: complex exp
+    # is C cexp, not SIMD, and cexp(x + 0i) is exp(x) * cos(0) = exp(x) for
+    # x = -c*t <= 0. The real SIMD np.exp differs from libm in the last bit
+    # on a few percent of inputs, and LM amplifies that into visible
+    # changes in the fit (see README "Determinism")
+    z, e, den, res = w
+    np.exp((-c * t).astype(complex), out=z)
+    np.multiply(e, a, out=den)
     den += 1.0
-    res = u_max / den
+    np.divide(u_max, den, out=res)
     res -= y
-    return res, e, den
 
 
 @np.errstate(over="ignore", invalid="ignore", under="ignore")
@@ -291,7 +298,9 @@ def _lm_refine(y, t, ymax, u_max, a, c):
     or 0 without a warning, as in scalar float code.  Work arrays are made once per call, not per step.
     """
     p = (float(u_max), float(a), float(c))
-    res, e, den = _logistic_residuals(y, t, *p)
+    w = _work_arrays(len(t))
+    _, e, den, res = w
+    _logistic_residuals(y, t, *p, w)
     sse = float(res.dot(res))
     jac, den2 = np.empty((len(t), 3)), np.empty(len(t))
     d_u, d_a, d_c = jac.T  # column views of a C-ordered jac, filled by their scalar formulas
@@ -309,14 +318,17 @@ def _lm_refine(y, t, ymax, u_max, a, c):
         h = jac.T.dot(jac)
         g = jac.T.dot(res)
         damp_diag[:] = h.diagonal()
+        # trials write over e, den and res: once h and g are formed the loop
+        # no longer reads them at p, and an accepted trial is always the
+        # last one evaluated, so they hold its point for the next Jacobian
         for _ in range(50):
             # np.linalg.solve's own LAPACK gufunc, without its wrapper's cost per call;
             # it is odd in g, so p - solve(g) has the bits of p + solve(-g)
             step = _solve1(h + lam * damp, g).tolist()
             q = (p[0] - step[0], p[1] - step[1], p[2] - step[2])
             if q[0] > ymax and q[1] > 0 and q[2] > 0:
-                res_q, e_q, den_q = _logistic_residuals(y, t, *q)
-                sse_q = float(res_q.dot(res_q))
+                _logistic_residuals(y, t, *q, w)
+                sse_q = float(res.dot(res))
                 if sse_q <= sse:
                     # every ratio below the bound, nan failing as in max(ratios)
                     converged = (
@@ -324,7 +336,7 @@ def _lm_refine(y, t, ymax, u_max, a, c):
                         and abs(step[1]) / max(abs(p[1]), 1e-300) < 1e-10
                         and abs(step[2]) / max(abs(p[2]), 1e-300) < 1e-10
                     )
-                    p, res, e, den, sse = q, res_q, e_q, den_q, sse_q
+                    p, sse = q, sse_q
                     lam = max(lam * 0.3, 1e-12)
                     break
             lam *= 10.0
@@ -335,6 +347,15 @@ def _lm_refine(y, t, ymax, u_max, a, c):
         if converged:
             break
     return p, math.sqrt(sse / len(y)), converged
+
+
+def _logit_line(z, dt, stt):
+    """Mean and slope of the logit line z against the deviations dt, with
+    stt the sum of their squares.  Each sum adds left to right from the
+    first term, as np.add.accumulate does on every numpy; the builtin sum
+    compensates from Python 3.12 on, and pairwise np.sum rounds otherwise."""
+    zbar = float(np.add.accumulate(z)[-1]) / len(z)
+    return zbar, float(np.add.accumulate(dt * (z - zbar))[-1]) / stt
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -358,8 +379,8 @@ def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
     n = len(y)
     t = np.arange(n, dtype=float)
     # logit transform: ln((cap - y)/y) is affine in t when cap is right. t's
-    # moments are exact closed forms; math.log and left-to-right builtin sums
-    # keep zbar and slope bit-stable, where np.log and pairwise np.sum could round
+    # moments are exact closed forms; math.log and _logit_line's sums keep
+    # zbar and slope bit-stable, where np.log could round differently
     tbar = (n - 1) / 2
     dt = t - tbar
     stt = n * (n**2 - 1) / 12
@@ -369,8 +390,7 @@ def estimate_nlls(ts: TimeSeries) -> SaturationEstimate:
             # a subnormal ymax, where 1.05 * ymax rounds back to ymax
             continue
         z = np.fromiter(map(math.log, ((cap - y) / y).tolist()), float, n)
-        zbar = sum(z.tolist()) / n
-        slope = sum((dt * (z - zbar)).tolist()) / stt
+        zbar, slope = _logit_line(z, dt, stt)
         try:
             a0 = math.exp(zbar - slope * tbar)
         except OverflowError:

@@ -39,19 +39,20 @@ class TimeSeries:
     increments, "cumulative" for running levels.  Every estimator
     refuses a raw series: it needs levels.  A series holds its values
     once, as the read-only float64 array `array`; `values` is built from
-    it when read, as a new tuple of floats each time.  ==, hash, repr
-    and dataclasses.replace go by labels, values and kind.
+    it when read, as a new tuple of floats each time.  It keeps the
+    labels as given and converts them when `labels` is read: a tuple of
+    exact str labels is returned as given, any other through str() on
+    every read, so a mutable label object shows its current text.  ==,
+    hash, repr and dataclasses.replace go by labels, values and kind.
     """
 
-    labels: tuple[str, ...]
+    labels: tuple[str, ...]  # like values, the property below
     values: tuple[float, ...]  # the property below; a field for ==, hash, repr and replace
     kind: str = "raw"
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, labels, values, kind: str = "raw"):
         labels = tuple(labels)
-        if list(map(type, labels)).count(str) != len(labels):  # exact str labels stay as given
-            labels = tuple(map(str, labels))
         y = np.fromiter(values, float)  # each value as float() reads it; None becomes nan
         if len(labels) != len(y):
             raise DomainError(f"labels and values differ in length ({len(labels)} vs {len(y)})")
@@ -64,13 +65,22 @@ class TimeSeries:
             i = int(finite.argmin())
             raise DomainError(f"value at index {i} is not finite: {float(y[i])!r}")
         y.setflags(write=False)
-        self.__dict__.update(labels=labels, kind=kind, array=y)  # frozen: no __setattr__
+        self.__dict__.update(_labels=labels, kind=kind, array=y)  # frozen: no __setattr__
 
     def __reduce__(self):  # pickle and copy go through __init__: a fresh read-only array
         return type(self), (self.labels, self.values, self.kind)
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.array)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The labels as str; exact str labels come back as given, others
+        go through str() on every read."""
+        labels = self._labels
+        if list(map(type, labels)).count(str) == len(labels):
+            return labels
+        return tuple(map(str, labels))
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -140,7 +150,7 @@ def cumulate(ts: TimeSeries) -> TimeSeries:
     """Prefix sums of a raw series, added left to right; labels are kept."""
     if ts.kind != "raw":
         raise DomainError("series is already cumulative")
-    return TimeSeries(labels=ts.labels, values=np.cumsum(ts.array), kind="cumulative")
+    return TimeSeries(labels=ts._labels, values=np.cumsum(ts.array), kind="cumulative")
 
 
 def _require_length(ts: TimeSeries, minimum: int) -> None:
@@ -227,7 +237,7 @@ def _ambiguity(winner: int, a: np.ndarray, maxima: np.ndarray) -> tuple[tuple[in
 def _make_point(ds: DiffSeries, index: int, policy: str) -> CharacteristicPoint:
     return CharacteristicPoint(
         index=index,
-        label=ds.source.labels[index],
+        label=str(ds.source._labels[index]),  # labels[index]: str() keeps an exact str
         diff_value=float(ds.array[index]),
         series_value=float(ds.source.array[index]),
         policy_used=policy,
@@ -257,13 +267,13 @@ def find_characteristic_point(ds: DiffSeries, policy: str = FIRST_LOCAL_MAX) -> 
     if n_defined < 3:
         raise DomainError(f"need at least 3 defined difference values, got {n_defined}")
 
-    maxima = _strict_local_maxima(a)
-    candidates = maxima
-    if policy == LAST_LOCAL_MAX_BEFORE_DECLINE:
-        candidates = maxima[maxima < _first_index_of(a, np.fmin.reduce(a))]
-    if policy != GLOBAL_MAX and len(candidates):
-        index = candidates[0] if policy == FIRST_LOCAL_MAX else candidates[-1]
-        return _make_point(ds, int(index), policy)
+    if policy != GLOBAL_MAX:
+        candidates = _strict_local_maxima(a)
+        if policy == LAST_LOCAL_MAX_BEFORE_DECLINE:
+            candidates = candidates[candidates < _first_index_of(a, np.fmin.reduce(a))]
+        if len(candidates):
+            index = candidates[0] if policy == FIRST_LOCAL_MAX else candidates[-1]
+            return _make_point(ds, int(index), policy)
     top = _make_point(ds, _first_index_of(a, np.fmax.reduce(a)), GLOBAL_MAX)
     if policy == GLOBAL_MAX:
         return top

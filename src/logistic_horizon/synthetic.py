@@ -173,9 +173,9 @@ def benchmark_estimators(specs, truncations) -> list[dict]:
         warnings.filterwarnings("ignore", "estimated saturation level", RuntimeWarning)
         for spec_index, spec in enumerate(specs):
             full = generate(spec)
-            values = full.values
+            labels, values = full.labels, full.values
             for k in truncations:
-                prefix = TimeSeries(labels=full.labels[:k], values=values[:k], kind="cumulative")
+                prefix = TimeSeries(labels=labels[:k], values=values[:k], kind="cumulative")
                 # every method but order-n, which needs an order
                 for method in METHODS[:-1]:
                     row = {

@@ -243,6 +243,30 @@ def test_polyfit_recovers_exact_quartic():
         assert got == pytest.approx(want, abs=1e-9)
 
 
+# the first window length at which the unscaled design over 0..n-1 falls
+# below full rank under lstsq's default cutoff, whatever the data; the
+# exact edge may move with the LAPACK build, so the test stays a factor
+# of two away from it on both sides
+POLYFIT_RANK_EDGE = {4: 1222, 6: 159, 8: 51}
+
+
+@pytest.mark.parametrize("degree", sorted(POLYFIT_RANK_EDGE))
+def test_polyfit_refuses_long_windows(degree):
+    edge = POLYFIT_RANK_EDGE[degree]
+    rng = random.Random(degree)
+    for n in (edge // 2, 2 * edge):
+        curve = generate(GenSpec(LogisticParams(1000.0, 200.0, 10.0 / n), n_points=n))
+        noise = TimeSeries(range(n), [rng.uniform(1.0, 2.0) for _ in range(n)], "cumulative")
+        for ts in (curve, noise):
+            if n < edge:
+                assert len(fit_polynomial_lsm(ts, degree).coefficients) == degree + 1
+                continue
+            with pytest.raises(NumericalError, match=f"design matrix rank \\d+ below {degree + 1}"):
+                fit_polynomial_lsm(ts, degree)
+            with pytest.raises(NumericalError, match="design matrix rank"):
+                polyfit_estimate(ts, degree)
+
+
 def test_polyfit_input_checks():
     ts = _quartic_series()
     with pytest.raises(DomainError):

@@ -48,7 +48,14 @@ from logistic_horizon import (
     second_central_diff,
     second_left_diff,
 )
-from logistic_horizon.estimate import _lm_refine, _logistic_residuals, _solve1
+from logistic_horizon import estimate
+from logistic_horizon.estimate import (
+    _lm_refine,
+    _logistic_residuals,
+    _logit_line,
+    _solve1,
+    _work_arrays,
+)
 
 # 150 examples, or more under the active profile, such as "thorough"
 # (see conftest.py)
@@ -463,9 +470,31 @@ positive = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
 def test_logistic_residuals_match_reference(y, u_max, a, c):
     y = np.array(y)
     t = np.arange(len(y), dtype=float)
-    res, _, _ = _logistic_residuals(y, t, u_max, a, c)
+    w = _work_arrays(len(y))
+    _logistic_residuals(y, t, u_max, a, c, w)
     want_res, _ = _ref_residuals(y, u_max, a, c)
-    assert res.tobytes() == want_res.tobytes()
+    assert w[-1].tobytes() == want_res.tobytes()
+
+
+@SETTINGS
+@given(
+    st.lists(st.floats(0.1, 1e6), min_size=4, max_size=60),
+    st.lists(st.tuples(positive, positive, st.floats(1e-6, 5.0)), min_size=1, max_size=6),
+)
+def test_residuals_into_one_set_of_work_arrays_match_fresh_calls(y, params):
+    # nlls writes every trial into the same arrays: nothing may leak from one call to the next
+    y = np.array(y)
+    t = np.arange(len(y), dtype=float)
+    w = _work_arrays(len(y))
+    z, e, den, res = w
+    assert np.shares_memory(z, e) and e.base is z
+    for u_max, a, c in params:
+        _logistic_residuals(y, t, u_max, a, c, w)
+        want_e = [math.exp(-c * i) for i in range(len(y))]
+        want_den = [1.0 + a * v for v in want_e]
+        assert _bits(e.tolist()) == _bits(want_e)
+        assert _bits(den.tolist()) == _bits(want_den)
+        assert res.tobytes() == _ref_residuals(y, u_max, a, c)[0].tobytes()
 
 
 # libm's exp through complex exp: cexp(x + 0i) is exp(x) * cos(0), and the
@@ -548,6 +577,60 @@ def test_lm_refine_matches_reference(inputs):
     got = _lm_refine(y, np.arange(len(y), dtype=float), float(y.max()), *start)
     assert _bits(got) == _bits(_ref_lm_refine(y, *start))
     assert all(type(v) is float for v in got[0])
+
+
+def test_lm_refine_matches_reference_on_a_long_series():
+    # every start the ladder gives on a noiseless 10^4-point series past its inflection
+    a = 25.0 * 0.99
+    ts = generate(GenSpec(LogisticParams(1000.0, a, math.log(a) / 3980.0), n_points=10_000))
+    with mock.patch.object(estimate, "_lm_refine", wraps=_lm_refine) as refine:
+        estimate_nlls(ts)
+    assert refine.call_count == 4
+    for call in refine.call_args_list:
+        y, _, _, *start = call.args
+        assert _bits(_lm_refine(*call.args)) == _bits(_ref_lm_refine(y, *start))
+
+
+# the start ladder's sums, added left to right from the first term
+
+
+def _ref_logit_line(z):
+    n = len(z)
+    tbar = (n - 1) / 2
+    acc = z[0]
+    for v in z[1:]:
+        acc += v
+    zbar = acc / n
+    terms = [(t - tbar) * (v - zbar) for t, v in enumerate(z)]
+    acc = terms[0]
+    for v in terms[1:]:
+        acc += v
+    return zbar, acc / (n * (n**2 - 1) / 12)
+
+
+# left to right, 1e16 + 1.0 rounds back to 1e16: the sum is 0.0 where the
+# exact (and Python 3.12's compensated) sum is 2.0
+_CANCELLING = [1e16, 1.0, 1.0, -1e16]
+
+
+@SETTINGS
+@given(st.integers(4, 10_000), st.integers(0, 2**32 - 1))
+@example(4, None)
+def test_logit_line_sums_left_to_right(n, seed):
+    if seed is None:
+        z = _CANCELLING
+        assert math.fsum(z) == 2.0
+    else:
+        rng = np.random.default_rng(seed)
+        # mixed signs and magnitudes, so that the order of the additions shows
+        z = (rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)).tolist()
+    t = np.arange(len(z), dtype=float)
+    dt = t - (len(z) - 1) / 2
+    stt = len(z) * (len(z) ** 2 - 1) / 12
+    got = _logit_line(np.array(z), dt, stt)
+    assert _bits(got) == _bits(_ref_logit_line(z))
+    if seed is None:
+        assert got[0] == 0.0
 
 
 @SETTINGS

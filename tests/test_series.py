@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import random
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from logistic_horizon import (
     DiffSeries,
     DomainError,
     GenSpec,
+    LogisticHorizonError,
     LogisticParams,
     TimeSeries,
     benchmark_estimators,
@@ -26,6 +28,7 @@ from logistic_horizon import (
     estimate_scd,
     estimate_sld,
     find_characteristic_point,
+    fit_logistic_nlls,
     get_fixture,
     higher_order_estimate,
     level_crossing_time,
@@ -34,6 +37,7 @@ from logistic_horizon import (
     second_left_diff,
 )
 from logistic_horizon import series as series_module
+from logistic_horizon.estimate import METHODS, run_method
 
 # hand arithmetic on the ten-week cumulative window: each cell is
 # (y[t+1] - 2 y[t] + y[t-1]) / 2, an exact half of an integer
@@ -76,12 +80,103 @@ def test_str_labels_are_kept_as_given():
         ("a", 2, np.int64(3)),
         (1.5, "b", None),
         tuple(np.array(["x", "y", "z"])),  # numpy.str_, a str subclass
+        (0.5, -0.0, 1e300),
     ],
 )
 def test_other_labels_become_str(labels):
     ts = TimeSeries(labels, (1.0, 2.0, 3.0), "raw")
     assert ts.labels == tuple(str(label) for label in labels)
     assert all(type(label) is str for label in ts.labels)
+
+
+def test_generator_labels_become_str():
+    ts = TimeSeries((i / 2 for i in range(3)), (1.0, 2.0, 3.0), "raw")
+    assert ts.labels == ("0.0", "0.5", "1.0")
+    assert TimeSeries((f"w{i}" for i in range(3)), (1.0, 2.0, 3.0), "raw").labels == ("w0", "w1", "w2")
+
+
+def test_labels_are_converted_when_read():
+    # the series keeps the label objects it was given; each read applies str() anew
+    week = ["week", 1]
+    ts = TimeSeries(("a", week), (1.0, 2.0), "raw")
+    assert ts.labels == ("a", "['week', 1]")
+    week[1] = 2
+    assert ts.labels == ("a", "['week', 2]")
+    ds = DiffSeries(source=ts, kind="scd", array=(None, None))
+    assert series_module._make_point(ds, 1, GLOBAL_MAX).label == "['week', 2]"
+
+
+def test_series_with_converted_labels_compares_as_before():
+    ts = TimeSeries((1, 2, np.int64(3)), (1.0, 2.0, 4.0), "cumulative")
+    twin = TimeSeries(("1", "2", "3"), (1.0, 2.0, 4.0), "cumulative")
+    assert ts == twin and hash(ts) == hash(twin)
+    assert repr(ts) == repr(twin) == (
+        "TimeSeries(labels=('1', '2', '3'), values=(1.0, 2.0, 4.0), kind='cumulative')"
+    )
+    assert len(ts) == 3
+    for clone in (pickle.loads(pickle.dumps(ts)), copy.deepcopy(ts), copy.copy(ts)):
+        assert clone == ts and hash(clone) == hash(ts) and clone.labels == twin.labels
+    for changes in ({"kind": "raw"}, {"values": (1.0, 2.0, 8.0)}):
+        moved = dataclasses.replace(ts, **changes)
+        assert moved == dataclasses.replace(twin, **changes)
+        assert moved.labels == twin.labels
+    assert cumulate(dataclasses.replace(ts, kind="raw")).labels == twin.labels
+
+
+def _label_variants(ts):
+    n = len(ts)
+    yield ts
+    yield TimeSeries(range(n), ts.values, ts.kind)
+    yield TimeSeries(tuple(np.array(ts.labels)), ts.values, ts.kind)  # numpy.str_
+    yield TimeSeries([float(i) if i % 2 else str(i) for i in range(n)], ts.values, ts.kind)
+
+
+@pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
+def test_point_labels_are_the_series_labels():
+    windows = [_window(), _quadratic_levels(), cumulate(get_fixture("medical-qmd").series)]
+    seen = set()
+    for ts in (v for w in windows for v in _label_variants(w)):
+        for policy in POLICIES:
+            for run in (
+                lambda: estimate_scd(ts, policy=policy).char_point,
+                lambda: estimate_sld(ts, policy=policy).char_point,
+                lambda: higher_order_estimate(ts, 4, policy=policy).char_point,
+                lambda: find_characteristic_point(second_left_diff(ts), policy),
+            ):
+                try:
+                    point = run()
+                    seen.add(policy)
+                except CharacteristicPointNotFound as exc:
+                    point = exc.fallback
+                    seen.add("fallback")
+                assert point.label == ts.labels[point.index]
+                assert type(point.label) is str
+    assert seen == {*POLICIES, "fallback"}
+
+
+@pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
+def test_len_and_estimators_never_read_the_labels(monkeypatch):
+    reads = []
+    labels = TimeSeries.labels
+
+    def counted(self):
+        reads.append(1)
+        return labels.fget(self)
+
+    raw = get_fixture("loyalty-nlc").series
+    numbered = TimeSeries(range(len(raw)), raw.values, "raw")
+    monkeypatch.setattr(TimeSeries, "labels", property(counted))
+    levels = [cumulate(raw), cumulate(numbered), _quadratic_levels()]
+    assert len(raw) == len(raw.array) and len(numbered) == len(levels[1])
+    for ts in levels:
+        calls = [partial(run_method, m, ts, n=5, policy=p) for m in METHODS for p in POLICIES]
+        for call in calls + [partial(fit_logistic_nlls, ts)]:
+            try:
+                call()
+            except LogisticHorizonError:  # a refusal, a fallback point among them
+                pass
+    assert reads == []
+    assert levels[1].labels == tuple(map(str, range(len(raw)))) and len(reads) == 1
 
 
 def _bit_equal(array, values):
@@ -425,6 +520,20 @@ def test_point_equality_hash_and_repr_leave_the_diff_series_out():
         "CharacteristicPoint(index=3, label='08/12', diff_value=358.0, "
         "series_value=100776.0, policy_used='first-local-max')"
     )
+
+
+def test_global_max_looks_for_no_local_maxima():
+    ds = second_central_diff(_window())
+    calls = {}
+    for policy in POLICIES:
+        with mock.patch.object(
+            series_module, "_strict_local_maxima", wraps=series_module._strict_local_maxima
+        ) as spy:
+            point = find_characteristic_point(ds, policy)
+            estimate_scd(_window(), policy=policy)
+        calls[policy] = spy.call_count
+        assert point.ambiguity  # reading the rivals still finds them
+    assert calls == {GLOBAL_MAX: 0, FIRST_LOCAL_MAX: 2, LAST_LOCAL_MAX_BEFORE_DECLINE: 2}
 
 
 def test_detector_needs_three_defined_values():
