@@ -17,7 +17,6 @@ benchmark), ``fixtures`` (embedded reference datasets), ``cli``.
 """
 
 from .errors import (
-    BracketError,
     CharacteristicPointNotFound,
     DomainError,
     EstimationError,
@@ -51,7 +50,6 @@ from .series import (
     FIRST_LOCAL_MAX,
     GLOBAL_MAX,
     LAST_LOCAL_MAX_BEFORE_DECLINE,
-    MAX_RIVALS,
     POLICIES,
     CharacteristicPoint,
     DiffSeries,
@@ -89,7 +87,6 @@ from .fixtures import FIXTURE_NAMES, Fixture, get_fixture
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketError",
     "CharacteristicPointNotFound",
     "DomainError",
     "EstimationError",
@@ -115,7 +112,6 @@ __all__ = [
     "FIRST_LOCAL_MAX",
     "GLOBAL_MAX",
     "LAST_LOCAL_MAX_BEFORE_DECLINE",
-    "MAX_RIVALS",
     "POLICIES",
     "CharacteristicPoint",
     "DiffSeries",

@@ -20,7 +20,7 @@ import math
 import re
 import sys
 
-from .derivpoly import poly_roots
+from .derivpoly import MAX_DERIV_ORDER, poly_roots
 from .errors import CharacteristicPointNotFound, DomainError, LogisticHorizonError, ParseError
 from .estimate import METHODS, fit_logistic_nlls, run_method
 from .eulerian import eulerian_row
@@ -52,11 +52,15 @@ def _display_float(x: float, digits: int) -> float:
 def read_csv_series(lines, source: str, kind: str = "raw") -> TimeSeries:
     """Parse label,value rows into a series.
 
-    A first line exactly 'label,value' (any case) is treated as a
-    header.  Values must be plain decimal numbers in float range: no
-    thousands separators, no underscores, no nan/inf, no 1e999.
+    One byte-order mark (U+FEFF) at the start of the first line, as
+    "CSV UTF-8" files carry, is dropped.  A first line exactly
+    'label,value' (any case) is then treated as a header.  Values must
+    be plain decimal numbers in float range: no thousands separators,
+    no underscores, no nan/inf, no 1e999.
     """
-    rows = [(lineno, line) for lineno, raw in enumerate(lines, start=1) if (line := raw.strip())]
+    lines = iter(lines)
+    first = next(lines, "").removeprefix("\ufeff")
+    rows = [(lineno, line) for lineno, raw in enumerate((first, *lines), start=1) if (line := raw.strip())]
     if rows and rows[0][1].lower().replace(" ", "") == "label,value":
         del rows[0]
     labels = []
@@ -115,6 +119,8 @@ def _cmd_eulerian(args, stdin, stdout) -> int:
 def _cmd_roots(args, stdin, stdout) -> int:
     if args.order < 2:
         raise DomainError(f"--order must be >= 2, got {args.order}")
+    if args.order > MAX_DERIV_ORDER + 1:
+        raise DomainError(f"--order must be <= {MAX_DERIV_ORDER + 1}, got {args.order}")
     roots = poly_roots(args.order - 1)
     print(", ".join(_fmt(r, args.digits) for r in roots), file=stdout)
     return 0
@@ -153,6 +159,8 @@ def _cmd_analyze(args, stdin, stdout) -> int:
 def _cmd_estimate(args, stdin, stdout) -> int:
     if args.method == "order-n" and args.n is None:
         raise DomainError("--method order-n requires --n")
+    if args.method != "order-n" and args.n is not None:
+        raise DomainError(f"--n is for --method order-n, not --method {args.method}")
     ts = _load_series(args, stdin)
     mode = "paper-rounded" if args.constant == "paper" else args.constant
     est = run_method(args.method, ts, args.n, args.degree, mode, args.policy)
@@ -286,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", parents=[common], help="roots of the derivative polynomial of the given order")
     p.set_defaults(run=_cmd_roots)
-    p.add_argument("--order", type=int, required=True, help="polynomial order (2 or more)")
+    p.add_argument("--order", type=int, required=True, help=f"order N of P_N, 2 to {MAX_DERIV_ORDER + 1}")
 
     p = sub.add_parser("analyze", parents=[common, data], help="difference table and characteristic point")
     p.set_defaults(run=_cmd_analyze)

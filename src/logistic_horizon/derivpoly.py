@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import BracketError, DomainError, NumericalError, require_int
+from .errors import DomainError, NumericalError, require_int
 from .eulerian import eulerian_row
 
 # Construction cap for derivative order. Integer arithmetic is exact at
@@ -170,7 +170,7 @@ def riccati_nth_derivative(params: RiccatiParams, n: int, u: float) -> float:
 def _bisect_root(f, a: float, b: float) -> float:
     fa = f(a)
     if (fa > 0) == (f(b) > 0):
-        raise BracketError(f"no sign change on [{a}, {b}]")
+        raise NumericalError(f"no sign change on [{a}, {b}]")
     while b - a > _BISECT_TOL:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:

@@ -28,14 +28,6 @@ class NumericalError(LogisticHorizonError):
     """A computation could not be completed to acceptable accuracy."""
 
 
-class BracketError(NumericalError):
-    """A root bracket that should change sign did not.
-
-    Reaching this means an internal consistency assumption failed, not
-    that the caller passed bad data.
-    """
-
-
 class EstimationError(LogisticHorizonError):
     """A saturation estimate could not be produced from the given data."""
 

@@ -28,7 +28,6 @@ FIRST_LOCAL_MAX = "first-local-max"
 LAST_LOCAL_MAX_BEFORE_DECLINE = "last-local-max-before-decline"
 GLOBAL_MAX = "global-max"
 POLICIES = (FIRST_LOCAL_MAX, LAST_LOCAL_MAX_BEFORE_DECLINE, GLOBAL_MAX)
-MAX_RIVALS = 100  # the longest rival list on any fixture window has 74
 
 
 @dataclass(frozen=True, init=False)
@@ -123,12 +122,11 @@ class CharacteristicPoint:
 
     diff_series is the difference series the point was found on; ==,
     hash and repr leave it out.  ambiguity is computed from it when
-    read, as a new tuple each time: rival candidates as (index,
-    diff_value) pairs, in index order, namely all other strict local
-    maxima plus any defined value close to the winner (within a quarter
-    of the winner's height above the minimum), at most MAX_RIVALS of
-    them, those with the largest diff values (ties to the earlier
-    index).  Rivals are diagnostic only; they never change the selection.
+    read, as a new tuple each time: every rival candidate as an (index,
+    diff_value) pair, in index order, namely all other strict local
+    maxima plus every defined value close to the winner (within a
+    quarter of the winner's height above the minimum).  Rivals are
+    diagnostic only; they never change the selection.
     """
 
     index: int
@@ -141,8 +139,7 @@ class CharacteristicPoint:
     @property
     def ambiguity(self) -> tuple[tuple[int, float], ...]:
         """The rival pairs, computed from diff_series on every read."""
-        a = self.diff_series.array
-        return _ambiguity(self.index, a, _strict_local_maxima(a))
+        return _ambiguity(self.index, self.diff_series.array)
 
 
 @np.errstate(over="ignore")  # a sum that overflows is refused below as not finite
@@ -218,19 +215,12 @@ def _first_index_of(a: np.ndarray, value) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _ambiguity(winner: int, a: np.ndarray, maxima: np.ndarray) -> tuple[tuple[int, float], ...]:
+def _ambiguity(winner: int, a: np.ndarray) -> tuple[tuple[int, float], ...]:
     winner_value = a[winner]
     rival = winner_value - a <= 0.25 * (winner_value - np.fmin.reduce(a))
-    rival[maxima] = True
+    rival[_strict_local_maxima(a)] = True
     rival[winner] = False
     idx = rival.nonzero()[0]
-    if len(idx) > MAX_RIVALS:
-        # keep the MAX_RIVALS largest values, ties to the earlier index
-        v = a[idx]
-        kth = np.partition(v, len(v) - MAX_RIVALS)[len(v) - MAX_RIVALS]
-        keep = v > kth
-        keep[(v == kth).nonzero()[0][: MAX_RIVALS - np.count_nonzero(keep)]] = True
-        idx = idx[keep]
     return tuple(zip(idx.tolist(), a[idx].tolist()))
 
 

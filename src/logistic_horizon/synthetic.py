@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import CharacteristicPointNotFound, DomainError, LogisticHorizonError, require_int
-from .estimate import METHODS, run_method
+from .estimate import run_method
 from .logistic import LogisticParams, logistic_eval
 from .series import TimeSeries
 
@@ -152,7 +152,7 @@ def generate(spec: GenSpec) -> TimeSeries:
 
 
 def benchmark_estimators(specs, truncations) -> list[dict]:
-    """Relative-error table of every estimator on every spec prefix.
+    """Relative-error table of scd, sld, polyfit and nlls on every spec prefix.
 
     One row per spec x truncation x method, in that nesting order.
     Estimator failures land in the row's status field ("not-found" for
@@ -176,8 +176,8 @@ def benchmark_estimators(specs, truncations) -> list[dict]:
             labels, values = full.labels, full.values
             for k in truncations:
                 prefix = TimeSeries(labels=labels[:k], values=values[:k], kind="cumulative")
-                # every method but order-n, which needs an order
-                for method in METHODS[:-1]:
+                # a fixed list: order-n needs an order, and a method added to METHODS stays out
+                for method in ("scd", "sld", "polyfit", "nlls"):
                     row = {
                         "spec_index": spec_index,
                         "u_max": spec.params.u_max,

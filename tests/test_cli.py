@@ -31,6 +31,12 @@ def test_roots_line():
     assert out == "0, 0.2113248654, 0.7886751346, 1\n"
 
 
+def test_roots_order_is_capped_in_its_own_terms():
+    rc, out, err = _run(["roots", "--order", "26"])
+    assert rc == 0 and err == "" and len(out.split(", ")) == 26
+    assert _run(["roots", "--order", "27"]) == (1, "", "error: --order must be <= 26, got 27\n")
+
+
 def test_digits_flag():
     rc, out, _ = _run(["roots", "--order", "4", "--digits", "3"])
     assert rc == 0 and out == "0, 0.211, 0.789, 1\n"
@@ -155,6 +161,29 @@ def test_estimate_order_n_checks_n_before_reading_input(tmp_path):
         assert run(argv, stdin=_UnreadableStdin(), stdout=out, stderr=err) == 1
         assert err.getvalue() == "error: --method order-n requires --n\n"
         assert out.getvalue() == ""
+
+
+def test_estimate_refuses_n_without_order_n(tmp_path):
+    for method in ([], ["--method", "scd"], ["--method", "sld"], ["--method", "polyfit"], ["--method", "nlls"]):
+        for source in ([], [str(tmp_path / "missing.csv")]):
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["estimate", *source, "--kind", "cumulative", *method, "--n", "4"]
+            assert run(argv, stdin=_UnreadableStdin(), stdout=out, stderr=err) == 1
+            name = method[1] if method else "scd"
+            assert err.getvalue() == f"error: --n is for --method order-n, not --method {name}\n"
+            assert out.getvalue() == ""
+
+
+def test_csv_byte_order_mark_is_dropped(tmp_path):
+    with_header = _run(["fixtures", "--name", "loyalty-tnlc-window"])[1]
+    want = _run(["analyze", "-", "--kind", "cumulative"], with_header)
+    assert want[0] == 0
+    path = tmp_path / "bom.csv"
+    for text in (with_header, with_header.split("\n", 1)[1]):
+        marked = "\ufeff" + text
+        path.write_text(marked, encoding="utf-8")
+        assert _run(["analyze", str(path), "--kind", "cumulative"]) == want
+        assert _run(["analyze", "-", "--kind", "cumulative"], marked) == want
 
 
 def test_analyze_table_and_point():

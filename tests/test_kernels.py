@@ -21,7 +21,6 @@ from logistic_horizon import (
     MAX_DERIV_ORDER,
     GLOBAL_MAX,
     LAST_LOCAL_MAX_BEFORE_DECLINE,
-    MAX_RIVALS,
     POLICIES,
     CharacteristicPointNotFound,
     DiffSeries,
@@ -122,7 +121,7 @@ def _ref_maxima(vals):
     return out
 
 
-def _ref_ambiguity(winner, vals, bound=MAX_RIVALS):
+def _ref_ambiguity(winner, vals):
     defined = [(i, v) for i, v in enumerate(vals) if v is not None]
     winner_value = vals[winner]
     span = winner_value - min(v for _, v in defined)
@@ -130,13 +129,10 @@ def _ref_ambiguity(winner, vals, bound=MAX_RIVALS):
     for i, v in defined:
         if i != winner and winner_value - v <= 0.25 * span:
             rivals[i] = v
-    # at most `bound` rivals (None: all): the largest values, ties to
-    # the earlier index, listed by index
-    strongest = sorted(rivals.items(), key=lambda r: (-r[1], r[0]))[:bound]
-    return tuple(sorted(strongest))
+    return tuple(sorted(rivals.items()))
 
 
-def _ref_detect(vals, policy, bound=MAX_RIVALS):
+def _ref_detect(vals, policy):
     """("ok", index, ambiguity), ("not-found", fallback index,
     fallback ambiguity) or ("too-few",)."""
     defined = [(i, v) for i, v in enumerate(vals) if v is not None]
@@ -147,16 +143,16 @@ def _ref_detect(vals, policy, bound=MAX_RIVALS):
         if v > best_v:
             best_i, best_v = i, v
     if policy == GLOBAL_MAX:
-        return ("ok", best_i, _ref_ambiguity(best_i, vals, bound))
+        return ("ok", best_i, _ref_ambiguity(best_i, vals))
     maxima = _ref_maxima(vals)
     if policy == LAST_LOCAL_MAX_BEFORE_DECLINE:
         min_value = min(v for _, v in defined)
         first_min = next(i for i, v in defined if v == min_value)
         maxima = [i for i in maxima if i < first_min]
     if not maxima:
-        return ("not-found", best_i, _ref_ambiguity(best_i, vals, bound))
+        return ("not-found", best_i, _ref_ambiguity(best_i, vals))
     index = maxima[0] if policy == FIRST_LOCAL_MAX else maxima[-1]
-    return ("ok", index, _ref_ambiguity(index, vals, bound))
+    return ("ok", index, _ref_ambiguity(index, vals))
 
 
 def _ref_residuals(y, u_max, a, c):
@@ -405,18 +401,6 @@ def _outcome(detected):
     return (status,) if status == "too-few" else (status, detected[2], detected[-1])
 
 
-@SETTINGS
-@given(st.lists(diff_slot, min_size=3, max_size=30), st.sampled_from(POLICIES), st.integers(1, 6))
-@example([None, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0, None], GLOBAL_MAX, 3)
-def test_rival_bound_keeps_the_strongest(vals, policy, bound):
-    # a small bound, so that coarse values put ties at its edge
-    ds = DiffSeries(source=_series([0.0] * len(vals)), kind="scd", array=tuple(vals))
-    with mock.patch("logistic_horizon.series.MAX_RIVALS", bound):
-        got = _detect(ds, policy)
-    want = _ref_detect(vals, policy, bound)
-    assert _bits(_outcome(got)) == _bits(want)
-
-
 def _fixture_windows():
     # every prefix of every fixture, as given and, if raw, cumulated
     for name in FIXTURE_NAMES:
@@ -436,9 +420,9 @@ def test_no_fixture_window_reaches_the_rival_bound():
                 continue
             for policy in POLICIES:
                 got = _outcome(_detect(ds, policy))
-                assert _bits(got) == _bits(_ref_detect(ds.values, policy, bound=None))
+                assert _bits(got) == _bits(_ref_detect(ds.values, policy))
                 longest = max(longest, len(got[-1]) if len(got) > 1 else 0)
-    assert longest == 74 < MAX_RIVALS
+    assert longest == 74
 
 
 def test_detection_ties_and_plateaus():
@@ -716,13 +700,6 @@ def test_long_series_estimates_are_bit_identical():
 def test_long_noisy_series_keeps_the_strongest_rivals():
     ds = second_central_diff(generate(LONG_SPEC))
     point = find_characteristic_point(ds)
-    unbounded = _ref_ambiguity(point.index, ds.values, bound=None)
-    assert len(unbounded) > 1000 and len(point.ambiguity) == MAX_RIVALS
-    # the largest values of the unbounded set, ties to the earlier index, by index
-    assert _bits(point.ambiguity) == _bits(_ref_ambiguity(point.index, ds.values))
-    assert set(point.ambiguity) <= set(unbounded)
-    floor = min(v for _, v in point.ambiguity)
-    last_at_floor = max(i for i, v in point.ambiguity if v == floor)
-    for i, v in set(unbounded) - set(point.ambiguity):
-        assert v < floor or (v == floor and i > last_at_floor)
-    assert [i for i, _ in point.ambiguity] == sorted(i for i, _ in point.ambiguity)
+    unbounded = _ref_ambiguity(point.index, ds.values)
+    assert len(unbounded) > 1000
+    assert _bits(point.ambiguity) == _bits(unbounded)

@@ -493,7 +493,7 @@ def test_each_read_of_the_rivals_builds_them_once():
             assert spy.call_count == 1
             assert p.ambiguity == first and spy.call_count == 2
         a = p.diff_series.array
-        assert first == series_module._ambiguity(p.index, a, series_module._strict_local_maxima(a))
+        assert first == series_module._ambiguity(p.index, a)
     assert point.diff_series is ds
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from unittest import mock
 
 import pytest
 import scipy.special
@@ -16,6 +17,7 @@ from logistic_horizon import (
     generate,
     logistic_eval,
 )
+from logistic_horizon.estimate import METHODS
 from logistic_horizon.synthetic import normal_icdf, normal_variate, splitmix64, uniform01
 
 
@@ -167,6 +169,16 @@ def test_benchmark_deterministic():
     a = benchmark_estimators(_bench_specs(), [9, 13, 20])
     b = benchmark_estimators(_bench_specs(), [9, 13, 20])
     assert a == b
+
+
+def test_benchmark_rows_do_not_follow_a_new_method():
+    rows = benchmark_estimators(_bench_specs(), [9, 13])
+    grown = (*METHODS, "new-method")
+    with (
+        mock.patch("logistic_horizon.estimate.METHODS", grown),
+        mock.patch("logistic_horizon.synthetic.METHODS", grown, create=True),
+    ):
+        assert benchmark_estimators(_bench_specs(), [9, 13]) == rows
 
 
 def test_benchmark_input_checks():
