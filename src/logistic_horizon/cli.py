@@ -159,11 +159,12 @@ def _cmd_analyze(args, stdin, stdout) -> int:
 def _cmd_estimate(args, stdin, stdout) -> int:
     if args.method == "order-n" and args.n is None:
         raise DomainError("--method order-n requires --n")
-    if args.method != "order-n" and args.n is not None:
-        raise DomainError(f"--n is for --method order-n, not --method {args.method}")
+    for flag, value, method in (("--n", args.n, "order-n"), ("--degree", args.degree, "polyfit")):
+        if args.method != method and value is not None:
+            raise DomainError(f"{flag} is for --method {method}, not --method {args.method}")
     ts = _load_series(args, stdin)
     mode = "paper-rounded" if args.constant == "paper" else args.constant
-    est = run_method(args.method, ts, args.n, args.degree, mode, args.policy)
+    est = run_method(args.method, ts, args.n, 4 if args.degree is None else args.degree, mode, args.policy)
     scale = abs(ts.array).max()
     exact = est.u_max_hat
     if scale >= 1000:
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="derivative order for --method order-n")
     p.add_argument("--constant", choices=("exact", "paper"), default="exact", help="characteristic constant mode")
     p.add_argument("--policy", choices=POLICIES, default="first-local-max")
-    p.add_argument("--degree", type=int, default=4, help="polynomial degree for --method polyfit")
+    p.add_argument("--degree", type=int, default=None, help="polynomial degree for --method polyfit (default 4)")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("fit", parents=[common, data], help="full logistic fit by nonlinear least squares")

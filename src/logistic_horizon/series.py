@@ -16,6 +16,7 @@ and any calendar bookkeeping lives in the labels.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,9 @@ class TimeSeries:
     kind says how the values are to be read: "raw" for per-period
     increments, "cumulative" for running levels.  Every estimator
     refuses a raw series: it needs levels.  A series holds its values
-    once, as the read-only float64 array `array`; `values` is built from
+    once, as the read-only float64 array `array`, each value as float()
+    reads it: struct packs a tuple or list in one C pass, np.fromiter the
+    rest (None as nan, str, and an ndarray, faster).  `values` is built from
     it when read, as a new tuple of floats each time.  It keeps the
     labels as given and converts them when `labels` is read: a tuple of
     exact str labels is returned as given, any other through str() on
@@ -52,7 +55,13 @@ class TimeSeries:
 
     def __init__(self, labels, values, kind: str = "raw"):
         labels = tuple(labels)
-        y = np.fromiter(values, float)  # each value as float() reads it; None becomes nan
+        if isinstance(values, (tuple, list)):
+            try:
+                y = np.frombuffer(struct.Struct(f"{len(values)}d").pack(*values))
+            except struct.error:  # None, str, ...: fromiter reads them or raises float()'s error
+                y = np.fromiter(values, float)
+        else:  # fromiter reads an ndarray faster than struct unpacks it
+            y = np.fromiter(values, float)
         if len(labels) != len(y):
             raise DomainError(f"labels and values differ in length ({len(labels)} vs {len(y)})")
         if len(y) == 0:
@@ -157,18 +166,21 @@ def _require_length(ts: TimeSeries, minimum: int) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _second_diff(ts: TimeSeries, kind: str, lead: int) -> DiffSeries:
-    # one stencil ((y[t+1] - 2 y[t]) + y[t-1]) / 2, placed `lead` slots in;
+    # one stencil ((y[t+1] - 2 y[t]) + y[t-1]) / 2, written from slot `lead` on;
     # here and below, overflow yields inf silently, as scalar floats do
     _require_length(ts, 3)
     y = ts.array
-    return _padded(ts, kind, ((y[2:] - 2.0 * y[1:-1]) + y[:-2]) / 2.0, lead)
-
-
-def _padded(ts: TimeSeries, kind: str, inner: np.ndarray, lead: int) -> DiffSeries:
-    a = np.empty(len(ts))
-    a.fill(np.nan)
-    a[lead : lead + len(inner)] = inner
+    a, d = _padded(len(y), lead, len(y) - 2)
+    np.subtract(y[2:], np.multiply(y[1:-1], 2.0, out=d), out=d)
+    d += y[:-2]
+    d /= 2.0
     return DiffSeries(ts, kind, a)
+
+
+def _padded(n: int, lead: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    a = np.empty(n)
+    a.fill(np.nan)
+    return a, a[lead : lead + m]
 
 
 def second_central_diff(ts: TimeSeries) -> DiffSeries:
@@ -194,13 +206,15 @@ def nth_central_diff(ts: TimeSeries, order: int) -> DiffSeries:
     _require_length(ts, order + 1)
     y = ts.array
     m = len(y) - order
-    acc = np.zeros(m)  # the +0.0 start fixes the sign of a zero sum
+    a, acc = _padded(len(y), order // 2, m)
+    acc.fill(0.0)  # the +0.0 start fixes the sign of a zero sum
     coef = 1  # (-1)^j C(order, j) as an exact int, rounded to float once where it is used
     for j in range(order + 1):
         acc += coef * y[order - j : order - j + m]
         coef = coef * (j - order) // (j + 1)
     acc[acc != acc] = np.nan  # inf - inf gives -nan; store the plain nan that None converts to
-    return _padded(ts, "scd" if order == 2 else f"central-{order}", acc / 2.0, order // 2)
+    acc /= 2.0
+    return DiffSeries(ts, "scd" if order == 2 else f"central-{order}", a)
 
 
 def _strict_local_maxima(a: np.ndarray) -> np.ndarray:

@@ -174,6 +174,20 @@ def test_estimate_refuses_n_without_order_n(tmp_path):
             assert out.getvalue() == ""
 
 
+def test_estimate_refuses_degree_without_polyfit(tmp_path):
+    for method in ([], ["--method", "scd"], ["--method", "sld"], ["--method", "nlls"], ["--method", "order-n", "--n", "4"]):
+        for source in ([], [str(tmp_path / "missing.csv")]):
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["estimate", *source, "--kind", "cumulative", *method, "--degree", "7"]
+            assert run(argv, stdin=_UnreadableStdin(), stdout=out, stderr=err) == 1
+            name = method[1] if method else "scd"
+            assert err.getvalue() == f"error: --degree is for --method polyfit, not --method {name}\n"
+            assert out.getvalue() == ""
+    # absent, polyfit's degree is 4
+    polyfit = ["estimate", "--fixture", "loyalty-tnlc-window", "--method", "polyfit"]
+    assert _run(polyfit) == _run([*polyfit, "--degree", "4"]) != _run([*polyfit, "--degree", "6"])
+
+
 def test_csv_byte_order_mark_is_dropped(tmp_path):
     with_header = _run(["fixtures", "--name", "loyalty-tnlc-window"])[1]
     want = _run(["analyze", "-", "--kind", "cumulative"], with_header)

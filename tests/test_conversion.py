@@ -1,4 +1,14 @@
-"""A TimeSeries reads its values as float() does, in one numpy conversion.
+"""A TimeSeries reads its values as float() does, on one of two paths.
+
+A tuple or list is packed by ``struct`` in one C pass.  ``np.fromiter``
+reads what ``struct`` refuses and every other container.  ``struct``
+refuses None (read as nan, then refused as not finite) and str, which
+``float()`` parses, and on any value ``float()`` refuses it raises
+``struct.error``, so ``np.fromiter`` reads the input again and raises
+``float()``'s own exception type.  An ndarray stays with ``np.fromiter``,
+which reads it faster than unpacking it into numpy scalars would.  For
+every value ``struct`` accepts, it reads as ``float()`` does:
+``__float__``, then ``__index__``.
 
 The reference converts value by value with ``float()``.  A series built
 from the same input must hold the same bits, read back the same floats,
@@ -11,16 +21,18 @@ and a sequence in place of a value raises ``ValueError`` (was
 """
 
 import math
+import re
 import struct
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logistic_horizon import DomainError, TimeSeries
+from logistic_horizon import DomainError, GenSpec, LogisticParams, TimeSeries, generate
 
 # 150 examples, or more under the active profile, such as "thorough"
 # (see conftest.py)
@@ -64,8 +76,19 @@ def expected(vals):
     return tuple(math.nan if v is None else float(v) for v in vals)
 
 
+def reaches_fromiter(vals, container):
+    """Whether np.fromiter reads vals: any container but a tuple or list,
+    or a value that struct refuses (None, str, or one float() refuses)."""
+    refused = any(v is None or isinstance(v, str) for v in vals) or isinstance(expected(vals), type)
+    return container not in ("list", "tuple") or refused
+
+
 def _labels(n):
     return tuple(str(i) for i in range(n))
+
+
+NUMBERS = [1.5, -0.0, 5e-324, 7, -(2**63), 2**53 + 1, True, False, np.float32(0.1), np.int64(-3),
+           np.float64(2.5), Decimal("0.1"), Fraction(1, 3)]
 
 
 @SETTINGS
@@ -74,22 +97,38 @@ def _labels(n):
 @example([1.0, None, 2.0], "tuple")
 @example([1.0, "abc", None], "list")
 @example([1e308, 1e308], "ndarray")
+@example(NUMBERS, "tuple")  # packed, np.fromiter never called
+@example(NUMBERS, "list")
+@example([], "tuple")
+@example([1.0, None], "list")  # read by np.fromiter from here on
+@example(["1.5", 2.0], "tuple")
+@example([1.0, 2**1024], "list")
+@example([1.0, -(2**1025)], "tuple")
+@example([1.0, Decimal("sNaN")], "tuple")
+@example(NUMBERS, "generator")
+@example(NUMBERS[:4], "ndarray")
 def test_conversion_matches_float(vals, container):
     want = expected(vals)
     given_values = CONTAINERS[container](vals)
+    reaches = reaches_fromiter(vals, container)
+    # np.fromiter is watched where it should read the input, and raises where it should not
+    fromiter = mock.Mock(wraps=np.fromiter) if reaches else mock.Mock(side_effect=AssertionError("np.fromiter called"))
+    with mock.patch.object(np, "fromiter", fromiter):
+        try:
+            ts = TimeSeries(_labels(len(vals)), given_values, "raw")
+        except Exception as exc:  # checked against float() below
+            ts = exc
+    assert fromiter.called == reaches
     if isinstance(want, type):
-        with pytest.raises(want):
-            TimeSeries(_labels(len(vals)), given_values, "raw")
+        assert isinstance(ts, want), ts
         return
     bad = [i for i, x in enumerate(want) if not math.isfinite(x)]
     if not want or bad:
         message = (
             f"value at index {bad[0]} is not finite: {want[bad[0]]!r}" if bad else "at least one observation"
         )
-        with pytest.raises(DomainError, match=message):
-            TimeSeries(_labels(len(vals)), given_values, "raw")
+        assert isinstance(ts, DomainError) and re.search(message, str(ts))
         return
-    ts = TimeSeries(_labels(len(vals)), given_values, "raw")
     assert ts.array.tobytes() == struct.pack(f"={len(want)}d", *want)
     assert [x.hex() for x in ts.values] == [x.hex() for x in want]
     assert all(type(x) is float for x in ts.values)
@@ -118,3 +157,17 @@ def test_refusals_that_changed_type():
         TimeSeries(tuple("abc"), (1.0, None, 2.0), "raw")
     with pytest.raises(ValueError):
         TimeSeries(tuple("ab"), [1.0, [2.0]], "raw")
+
+
+def test_long_series_array_is_float64_aligned_and_read_only():
+    # a long-series shape: 10^4 noiseless points, inflection halfway
+    spec = GenSpec(params=LogisticParams(1000.0, 100.0, math.log(100.0) / 5000), n_points=10_000)
+    values = generate(spec).values
+    want = np.fromiter(values, float).tobytes()
+    for container in (tuple, list):
+        a = TimeSeries(_labels(len(values)), container(values), "cumulative").array
+        assert a.dtype == np.float64 and a.flags.aligned and a.flags.c_contiguous
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        assert a.tobytes() == want

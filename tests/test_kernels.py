@@ -262,6 +262,10 @@ def _ref_logistic_nth_derivative(lp, n, t):
 
 @SETTINGS
 @given(levels)
+@example([-0.0, 0.0, -0.0, 0.0])  # -0.0 results: a sum started at +0.0 would read +0.0
+@example([0.0, 1e308, 0.0, 0.0])  # 2 y[t] overflows: halving each term first would not
+@example([-1.5e308, -0.8e308, 1.5e308, 0.0])  # y[t+1] - 2 y[t] overflows; the outer terms first would not
+@example([1e308, 1e308, 1e308, 1e308])  # adding the outer terms first gives inf - inf
 def test_second_differences_match_reference(y):
     ts = _series(y)
     assert _bits(second_central_diff(ts).values) == _bits(_ref_scd(y))
