@@ -32,7 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logistic_horizon import DomainError, GenSpec, LogisticParams, TimeSeries, generate
+from logistic_horizon import DomainError, GenSpec, LogisticParams, TimeSeries, cumulate, generate
 
 # 150 examples, or more under the active profile, such as "thorough"
 # (see conftest.py)
@@ -171,3 +171,14 @@ def test_long_series_array_is_float64_aligned_and_read_only():
         with pytest.raises(ValueError):
             a[0] = 1.0
         assert a.tobytes() == want
+
+
+def test_cumulate_packs_its_prefix_sums_without_fromiter():
+    # mixed signs and magnitudes, so that the order of the additions shows
+    rng = np.random.default_rng(5)
+    raw = TimeSeries(_labels(10_000), (rng.standard_normal(10_000) * 10.0 ** rng.uniform(-8, 8, 10_000)).tolist())
+    want = np.cumsum(raw.array).tobytes()
+    with mock.patch.object(np, "fromiter", side_effect=AssertionError("np.fromiter called")):
+        levels = cumulate(raw)
+    assert levels.kind == "cumulative" and levels.labels == raw.labels
+    assert levels.array.tobytes() == want

@@ -3,7 +3,9 @@
 A plain ``ast`` walk over ``series.py``: a ``.tolist()`` call may appear
 only where a tuple is the output, in ``TimeSeries.values`` and
 ``DiffSeries.values`` (each built when it is read) and in
-``_ambiguity`` (the rival pairs).
+``_ambiguity`` (the rival pairs), and in ``cumulate``, which hands its
+prefix sums to ``TimeSeries`` as a list for ``struct`` to pack; the
+list is dropped once the new series holds its array.
 """
 
 import ast
@@ -12,7 +14,7 @@ from pathlib import Path
 import logistic_horizon
 
 SERIES = Path(logistic_horizon.__file__).parent / "series.py"
-ALLOWED = {"TimeSeries.values", "DiffSeries.values", "_ambiguity"}
+ALLOWED = {"TimeSeries.values", "DiffSeries.values", "_ambiguity", "cumulate"}
 
 
 def tolist_calls(source: str) -> list[str]:

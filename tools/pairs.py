@@ -138,7 +138,7 @@ def main() -> int:
     parser.add_argument("--base", required=True, help="tree of the parent commit")
     parser.add_argument("--head", required=True, help="tree of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=int, nargs="+", required=True, help="pair i uses seeds[i % len(seeds)]")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True, help="pair i uses seeds[i %% len(seeds)]")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--tiny", action="store_true", help="pass --tiny to the benchmark (self-test)")
