@@ -159,12 +159,19 @@ def _cmd_analyze(args, stdin, stdout) -> int:
 def _cmd_estimate(args, stdin, stdout) -> int:
     if args.method == "order-n" and args.n is None:
         raise DomainError("--method order-n requires --n")
-    for flag, value, method in (("--n", args.n, "order-n"), ("--degree", args.degree, "polyfit")):
-        if args.method != method and value is not None:
-            raise DomainError(f"{flag} is for --method {method}, not --method {args.method}")
+    division = ("scd", "sld", "order-n")
+    for flag, value, methods in (
+        ("--n", args.n, ("order-n",)),
+        ("--degree", args.degree, ("polyfit",)),
+        ("--policy", args.policy, division),
+        ("--constant", args.constant, (*division, "polyfit")),
+    ):
+        if args.method not in methods and value is not None:
+            raise DomainError(f"{flag} is for --method {' or '.join(methods)}, not --method {args.method}")
     ts = _load_series(args, stdin)
-    mode = "paper-rounded" if args.constant == "paper" else args.constant
-    est = run_method(args.method, ts, args.n, 4 if args.degree is None else args.degree, mode, args.policy)
+    mode = "paper-rounded" if args.constant == "paper" else "exact"
+    policy = args.policy or "first-local-max"
+    est = run_method(args.method, ts, args.n, 4 if args.degree is None else args.degree, mode, policy)
     scale = abs(ts.array).max()
     exact = est.u_max_hat
     if scale >= 1000:
@@ -306,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_estimate)
     p.add_argument("--method", choices=METHODS, default="scd")
     p.add_argument("--n", type=int, default=None, help="derivative order for --method order-n")
-    p.add_argument("--constant", choices=("exact", "paper"), default="exact", help="characteristic constant mode")
-    p.add_argument("--policy", choices=POLICIES, default="first-local-max")
+    p.add_argument("--constant", choices=("exact", "paper"), help="characteristic constant mode (default exact)")
+    p.add_argument("--policy", choices=POLICIES, help="detection policy of scd, sld and order-n (default first-local-max)")
     p.add_argument("--degree", type=int, default=None, help="polynomial degree for --method polyfit (default 4)")
     p.add_argument("--format", choices=("json", "text"), default="json")
 

@@ -39,28 +39,26 @@ class TimeSeries:
     increments, "cumulative" for running levels.  Every estimator
     refuses a raw series: it needs levels.  A series holds its values
     once, as the read-only float64 array `array`, each value as float()
-    reads it: struct packs a tuple or list in one C pass, np.fromiter the
-    rest (None as nan, str, and an ndarray, faster).  `values` is built from
-    it when read, as a new tuple of floats each time.  It keeps the
-    labels as given and converts them when `labels` is read: a tuple of
-    exact str labels is returned as given, any other through str() on
-    every read, so a mutable label object shows its current text.  ==,
-    hash, repr and dataclasses.replace go by labels, values and kind.
+    reads it: struct packs any container with a len() in one C pass, and
+    np.fromiter reads the rest and what struct refuses (None as nan,
+    str, a value float() refuses).  `values` is built from it when read,
+    as a new tuple of floats each time.  `labels` is the tuple of the
+    labels as given, of any type; a detected point's label is str() of
+    its series label.  ==, hash, repr, dataclasses.replace and pickle go
+    by labels, values and kind, so labels (1, 2) do not equal ("1", "2")
+    and an unhashable label makes hash() raise TypeError.
     """
 
-    labels: tuple[str, ...]  # like values, the property below
+    labels: tuple
     values: tuple[float, ...]  # the property below; a field for ==, hash, repr and replace
     kind: str = "raw"
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, labels, values, kind: str = "raw"):
         labels = tuple(labels)
-        if isinstance(values, (tuple, list)):
-            try:
-                y = np.frombuffer(struct.Struct(f"{len(values)}d").pack(*values))
-            except struct.error:  # None, str, ...: fromiter reads them or raises float()'s error
-                y = np.fromiter(values, float)
-        else:  # fromiter reads an ndarray faster than struct unpacks it
+        try:
+            y = np.frombuffer(struct.Struct(f"{len(values)}d").pack(*values))
+        except (TypeError, struct.error):  # no len(), None, str, ...: fromiter reads or raises as float()
             y = np.fromiter(values, float)
         if len(labels) != len(y):
             raise DomainError(f"labels and values differ in length ({len(labels)} vs {len(y)})")
@@ -73,22 +71,13 @@ class TimeSeries:
             i = int(finite.argmin())
             raise DomainError(f"value at index {i} is not finite: {float(y[i])!r}")
         y.setflags(write=False)
-        self.__dict__.update(_labels=labels, kind=kind, array=y)  # frozen: no __setattr__
+        self.__dict__.update(labels=labels, kind=kind, array=y)  # frozen: no __setattr__
 
     def __reduce__(self):  # pickle and copy go through __init__: a fresh read-only array
         return type(self), (self.labels, self.values, self.kind)
 
     def __len__(self) -> int:
         return len(self.array)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """The labels as str; exact str labels come back as given, others
-        go through str() on every read."""
-        labels = self._labels
-        if list(map(type, labels)).count(str) == len(labels):
-            return labels
-        return tuple(map(str, labels))
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -156,8 +145,8 @@ def cumulate(ts: TimeSeries) -> TimeSeries:
     """Prefix sums of a raw series, added left to right; labels are kept."""
     if ts.kind != "raw":
         raise DomainError("series is already cumulative")
-    # as a list, which struct packs in one C pass faster than np.fromiter reads the array
-    return TimeSeries(labels=ts._labels, values=np.cumsum(ts.array).tolist(), kind="cumulative")
+    # as a list of floats, which struct packs faster than the array's numpy scalars
+    return TimeSeries(labels=ts.labels, values=np.cumsum(ts.array).tolist(), kind="cumulative")
 
 
 def _require_length(ts: TimeSeries, minimum: int) -> None:
@@ -242,7 +231,7 @@ def _ambiguity(winner: int, a: np.ndarray) -> tuple[tuple[int, float], ...]:
 def _make_point(ds: DiffSeries, index: int, policy: str) -> CharacteristicPoint:
     return CharacteristicPoint(
         index=index,
-        label=str(ds.source._labels[index]),  # labels[index]: str() keeps an exact str
+        label=str(ds.source.labels[index]),
         diff_value=float(ds.array[index]),
         series_value=float(ds.source.array[index]),
         policy_used=policy,

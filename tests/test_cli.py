@@ -188,6 +188,34 @@ def test_estimate_refuses_degree_without_polyfit(tmp_path):
     assert _run(polyfit) == _run([*polyfit, "--degree", "4"]) != _run([*polyfit, "--degree", "6"])
 
 
+@pytest.mark.parametrize(
+    "method, flag, value, methods",
+    [
+        ("nlls", "--policy", "global-max", "scd or sld or order-n"),
+        ("polyfit", "--policy", "global-max", "scd or sld or order-n"),
+        ("nlls", "--constant", "paper", "scd or sld or order-n or polyfit"),
+    ],
+)
+def test_estimate_refuses_flags_its_method_does_not_take(tmp_path, method, flag, value, methods):
+    for source in ([], [str(tmp_path / "missing.csv")]):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["estimate", *source, "--kind", "cumulative", "--method", method, flag, value]
+        assert run(argv, stdin=_UnreadableStdin(), stdout=out, stderr=err) == 1
+        assert err.getvalue() == f"error: {flag} is for --method {methods}, not --method {method}\n"
+        assert out.getvalue() == ""
+
+
+def test_estimate_policy_and_constant_default_to_exact_and_first_local_max():
+    for method in (["--method", "scd"], ["--method", "sld"], ["--method", "order-n", "--n", "4"]):
+        argv = ["estimate", "--fixture", "loyalty-tnlc-window", *method]
+        assert _run(argv) == _run([*argv, "--policy", "first-local-max", "--constant", "exact"])
+        assert _run(argv) != _run([*argv, "--constant", "paper"])
+    polyfit = ["estimate", "--fixture", "loyalty-tnlc-window", "--method", "polyfit"]
+    assert _run(polyfit) == _run([*polyfit, "--constant", "exact"])
+    nlls = _run(["estimate", "--fixture", "loyalty-tnlc-window", "--method", "nlls"])
+    assert nlls[0] == 0 and json.loads(nlls[1])["u_max_hat_exact"] == 184655.08548957304
+
+
 def test_csv_byte_order_mark_is_dropped(tmp_path):
     with_header = _run(["fixtures", "--name", "loyalty-tnlc-window"])[1]
     want = _run(["analyze", "-", "--kind", "cumulative"], with_header)

@@ -1,14 +1,14 @@
 """A TimeSeries reads its values as float() does, on one of two paths.
 
-A tuple or list is packed by ``struct`` in one C pass.  ``np.fromiter``
-reads what ``struct`` refuses and every other container.  ``struct``
-refuses None (read as nan, then refused as not finite) and str, which
-``float()`` parses, and on any value ``float()`` refuses it raises
-``struct.error``, so ``np.fromiter`` reads the input again and raises
-``float()``'s own exception type.  An ndarray stays with ``np.fromiter``,
-which reads it faster than unpacking it into numpy scalars would.  For
-every value ``struct`` accepts, it reads as ``float()`` does:
-``__float__``, then ``__index__``.
+Any container with a ``len()`` is packed by ``struct`` in one C pass:
+a tuple, a list, an ndarray of any dtype.  ``np.fromiter`` reads only
+what has no ``len()``, such as a generator, and what ``struct``
+refuses.  ``struct`` refuses None (read as nan, then refused as not
+finite) and str, which ``float()`` parses, and on any value ``float()``
+refuses it raises ``struct.error``, so ``np.fromiter`` reads the input
+again and raises ``float()``'s own exception type.  For every value
+``struct`` accepts, it reads as ``float()`` does: ``__float__``, then
+``__index__``.
 
 The reference converts value by value with ``float()``.  A series built
 from the same input must hold the same bits, read back the same floats,
@@ -77,10 +77,10 @@ def expected(vals):
 
 
 def reaches_fromiter(vals, container):
-    """Whether np.fromiter reads vals: any container but a tuple or list,
-    or a value that struct refuses (None, str, or one float() refuses)."""
+    """Whether np.fromiter reads vals: a container with no len(), or a
+    value that struct refuses (None, str, or one float() refuses)."""
     refused = any(v is None or isinstance(v, str) for v in vals) or isinstance(expected(vals), type)
-    return container not in ("list", "tuple") or refused
+    return container == "generator" or refused
 
 
 def _labels(n):
@@ -96,17 +96,21 @@ NUMBERS = [1.5, -0.0, 5e-324, 7, -(2**63), 2**53 + 1, True, False, np.float32(0.
 @example([2**63 + 1, True, Decimal("0.1"), Fraction(1, 3), "1_000", np.float32(0.1)], "generator")
 @example([1.0, None, 2.0], "tuple")
 @example([1.0, "abc", None], "list")
-@example([1e308, 1e308], "ndarray")
-@example(NUMBERS, "tuple")  # packed, np.fromiter never called
+@example([1e308, 1e308], "ndarray")  # packed, np.fromiter never called
+@example(NUMBERS, "tuple")
 @example(NUMBERS, "list")
+@example(NUMBERS, "ndarray")
 @example([], "tuple")
+@example([], "ndarray")
 @example([1.0, None], "list")  # read by np.fromiter from here on
+@example([1.0, None], "ndarray")
 @example(["1.5", 2.0], "tuple")
 @example([1.0, 2**1024], "list")
+@example([1.0, 2**1024], "ndarray")
 @example([1.0, -(2**1025)], "tuple")
 @example([1.0, Decimal("sNaN")], "tuple")
 @example(NUMBERS, "generator")
-@example(NUMBERS[:4], "ndarray")
+@example([], "generator")
 def test_conversion_matches_float(vals, container):
     want = expected(vals)
     given_values = CONTAINERS[container](vals)
@@ -146,7 +150,8 @@ def test_conversion_matches_float(vals, container):
     ],
 )
 def test_numeric_arrays_convert_as_float_does(array):
-    ts = TimeSeries(_labels(len(array)), array, "raw")
+    with mock.patch.object(np, "fromiter", side_effect=AssertionError("np.fromiter called")):
+        ts = TimeSeries(_labels(len(array)), array, "raw")
     want = tuple(float(x) for x in array)
     assert ts.array.tobytes() == struct.pack(f"={len(want)}d", *want)
     assert ts == TimeSeries(_labels(len(want)), want, "raw")

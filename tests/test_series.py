@@ -72,6 +72,12 @@ def test_str_labels_are_kept_as_given():
     assert TimeSeries(list(labels), [1, 2, 3, 4, 5], "raw").labels == labels
 
 
+def _points(ts):
+    # a point at every index of a hand-built difference series, so each label is read
+    ds = DiffSeries(source=ts, kind="scd", array=(None,) * len(ts))
+    return [series_module._make_point(ds, i, GLOBAL_MAX) for i in range(len(ts))]
+
+
 @pytest.mark.parametrize(
     "labels",
     [
@@ -84,43 +90,54 @@ def test_str_labels_are_kept_as_given():
     ],
 )
 def test_other_labels_become_str(labels):
+    # the series keeps them as given, the same tuple; a detected point shows str() of its label
     ts = TimeSeries(labels, (1.0, 2.0, 3.0), "raw")
-    assert ts.labels == tuple(str(label) for label in labels)
-    assert all(type(label) is str for label in ts.labels)
+    assert ts.labels is labels
+    assert all(a is b for a, b in zip(TimeSeries(list(labels), (1.0, 2.0, 3.0), "raw").labels, labels))
+    points = _points(ts)
+    assert [point.label for point in points] == [str(label) for label in labels]
+    assert all(type(point.label) is str for point in points)
 
 
 def test_generator_labels_become_str():
+    # a generator is read once into a tuple of what it yields; points show its str()
     ts = TimeSeries((i / 2 for i in range(3)), (1.0, 2.0, 3.0), "raw")
-    assert ts.labels == ("0.0", "0.5", "1.0")
+    assert ts.labels == (0.0, 0.5, 1.0) and all(type(label) is float for label in ts.labels)
+    assert [point.label for point in _points(ts)] == ["0.0", "0.5", "1.0"]
     assert TimeSeries((f"w{i}" for i in range(3)), (1.0, 2.0, 3.0), "raw").labels == ("w0", "w1", "w2")
 
 
 def test_labels_are_converted_when_read():
-    # the series keeps the label objects it was given; each read applies str() anew
+    # the series keeps the label objects it was given; a point applies str() when it is made
     week = ["week", 1]
     ts = TimeSeries(("a", week), (1.0, 2.0), "raw")
-    assert ts.labels == ("a", "['week', 1]")
+    assert ts.labels == ("a", ["week", 1]) and ts.labels[1] is week
     week[1] = 2
-    assert ts.labels == ("a", "['week', 2]")
+    assert ts.labels == ("a", ["week", 2])
     ds = DiffSeries(source=ts, kind="scd", array=(None, None))
     assert series_module._make_point(ds, 1, GLOBAL_MAX).label == "['week', 2]"
+    # a list label is unhashable, and so is the series
+    with pytest.raises(TypeError):
+        hash(ts)
+    assert ts == TimeSeries(("a", ["week", 2]), (1.0, 2.0), "raw")
 
 
-def test_series_with_converted_labels_compares_as_before():
+def test_series_compares_by_its_labels_as_given():
     ts = TimeSeries((1, 2, np.int64(3)), (1.0, 2.0, 4.0), "cumulative")
     twin = TimeSeries(("1", "2", "3"), (1.0, 2.0, 4.0), "cumulative")
-    assert ts == twin and hash(ts) == hash(twin)
-    assert repr(ts) == repr(twin) == (
-        "TimeSeries(labels=('1', '2', '3'), values=(1.0, 2.0, 4.0), kind='cumulative')"
-    )
+    assert ts != twin
+    same = TimeSeries([1, 2, 3], [1, 2, 4], "cumulative")
+    assert ts == same and hash(ts) == hash(same)
+    assert repr(ts) == "TimeSeries(labels=(1, 2, np.int64(3)), values=(1.0, 2.0, 4.0), kind='cumulative')"
+    assert repr(twin) == "TimeSeries(labels=('1', '2', '3'), values=(1.0, 2.0, 4.0), kind='cumulative')"
     assert len(ts) == 3
     for clone in (pickle.loads(pickle.dumps(ts)), copy.deepcopy(ts), copy.copy(ts)):
-        assert clone == ts and hash(clone) == hash(ts) and clone.labels == twin.labels
+        assert clone == ts and hash(clone) == hash(ts) and clone != twin
+        assert [type(label) for label in clone.labels] == [int, int, np.int64]
     for changes in ({"kind": "raw"}, {"values": (1.0, 2.0, 8.0)}):
         moved = dataclasses.replace(ts, **changes)
-        assert moved == dataclasses.replace(twin, **changes)
-        assert moved.labels == twin.labels
-    assert cumulate(dataclasses.replace(ts, kind="raw")).labels == twin.labels
+        assert moved.labels is ts.labels and moved != dataclasses.replace(twin, **changes)
+    assert cumulate(dataclasses.replace(ts, kind="raw")).labels is ts.labels
 
 
 def _label_variants(ts):
@@ -129,6 +146,7 @@ def _label_variants(ts):
     yield TimeSeries(range(n), ts.values, ts.kind)
     yield TimeSeries(tuple(np.array(ts.labels)), ts.values, ts.kind)  # numpy.str_
     yield TimeSeries([float(i) if i % 2 else str(i) for i in range(n)], ts.values, ts.kind)
+    yield TimeSeries([[i] for i in range(n)], ts.values, ts.kind)  # unhashable
 
 
 @pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
@@ -149,34 +167,42 @@ def test_point_labels_are_the_series_labels():
                 except CharacteristicPointNotFound as exc:
                     point = exc.fallback
                     seen.add("fallback")
-                assert point.label == ts.labels[point.index]
+                assert point.label == str(ts.labels[point.index])
                 assert type(point.label) is str
     assert seen == {*POLICIES, "fallback"}
 
 
 @pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
-def test_len_and_estimators_never_read_the_labels(monkeypatch):
-    reads = []
-    labels = TimeSeries.labels
-
-    def counted(self):
-        reads.append(1)
-        return labels.fget(self)
-
+def test_estimators_do_not_depend_on_the_labels():
+    # str, int and unhashable labels: every method and policy gives the same
+    # outcome, bit for bit, and nothing hashes a series on the way
     raw = get_fixture("loyalty-nlc").series
-    numbered = TimeSeries(range(len(raw)), raw.values, "raw")
-    monkeypatch.setattr(TimeSeries, "labels", property(counted))
-    levels = [cumulate(raw), cumulate(numbered), _quadratic_levels()]
-    assert len(raw) == len(raw.array) and len(numbered) == len(levels[1])
-    for ts in levels:
-        calls = [partial(run_method, m, ts, n=5, policy=p) for m in METHODS for p in POLICIES]
-        for call in calls + [partial(fit_logistic_nlls, ts)]:
-            try:
-                call()
-            except LogisticHorizonError:  # a refusal, a fallback point among them
-                pass
-    assert reads == []
-    assert levels[1].labels == tuple(map(str, range(len(raw)))) and len(reads) == 1
+    n = len(raw)
+    variants = [raw, TimeSeries(range(n), raw.values, "raw"), TimeSeries([[i] for i in range(n)], raw.values, "raw")]
+    levels = [cumulate(ts) for ts in variants]
+    assert [len(ts) for ts in levels] == [n] * 3 and levels[1].labels == tuple(range(n))
+
+    def outcome(call):
+        try:
+            est = call()
+        except CharacteristicPointNotFound as exc:  # its message names the fallback's label
+            return "not found", exc.fallback.index
+        except LogisticHorizonError as exc:
+            return type(exc).__name__, str(exc)
+        if isinstance(est, tuple):  # fit_logistic_nlls
+            return repr(est)
+        point = est.char_point
+        return est.u_max_hat.hex(), None if point is None else (point.index, point.diff_value.hex())
+
+    for calls in zip(
+        *(
+            [partial(run_method, m, ts, n=5, policy=p) for m in METHODS for p in POLICIES]
+            + [partial(fit_logistic_nlls, ts)]
+            for ts in levels
+        )
+    ):
+        got = [outcome(call) for call in calls]
+        assert got[0] == got[1] == got[2], got
 
 
 def _bit_equal(array, values):
