@@ -6,8 +6,8 @@ curve reaches a fixed, parameter-free fraction of its saturation level,
 and those fractions are roots of polynomials built from Eulerian
 numbers.  Spot the vanishing point in observed data (as a peak of a
 discrete second difference) and one division yields the saturation
-level, long before the curve flattens enough for whole-curve fitting
-to be reliable.
+level.  Whether that beats whole-curve fitting on early windows waits
+on the accuracy record (``ACCURACY.json``, ROADMAP item 1).
 
 Layers: ``eulerian`` (exact combinatorics), ``derivpoly`` (derivative
 polynomials and their roots), ``logistic`` (the curve itself),

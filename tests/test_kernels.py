@@ -562,7 +562,7 @@ _LONG = generate(
 @example(_CAPPED)
 def test_lm_refine_matches_reference(inputs):
     y, start = np.array(inputs[0]), inputs[1]
-    got = _lm_refine(y, np.arange(len(y), dtype=float), float(y.max()), *start)
+    got = _lm_refine(y, *start)
     assert _bits(got) == _bits(_ref_lm_refine(y, *start))
     assert all(type(v) is float for v in got[0])
 
@@ -577,10 +577,9 @@ def test_lm_refine_matches_reference_on_a_long_series():
     assert len(starts) == 4
     with mock.patch.object(estimate, "_lm_refine", wraps=_lm_refine) as refine:
         estimate_nlls(ts)
-    assert [call.args[3:] for call in refine.call_args_list] == starts[:2]
-    t = np.arange(len(y), dtype=float)
+    assert [call.args[1:] for call in refine.call_args_list] == starts[:2]
     for start in starts:
-        assert _bits(_lm_refine(y, t, float(y.max()), *start)) == _bits(_ref_lm_refine(y, *start))
+        assert _bits(_lm_refine(y, *start)) == _bits(_ref_lm_refine(y, *start))
 
 
 # the start ladder's sums, added left to right from the first term

@@ -5,9 +5,16 @@ max(y) in turn, and stops after the first two starts that run when both
 converged and their u_max, a and c each agree within 1e-9 relative.
 The pick among the starts that ran is the lowest RMSE, ties to the
 lower u_max.  The reference ladder here refines every cap's start.
+``estimate._starts`` is the one place a start is built: its starts are
+checked bit for bit against the pure-Python ``_ladder_starts``, and
+``tools/ladder_check.py``, which takes its starts from it, runs on the
+fixture windows.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +23,9 @@ import pytest
 from logistic_horizon import GenSpec, LogisticHorizonError, LogisticParams, TimeSeries, estimate_nlls, generate
 from logistic_horizon import estimate
 from logistic_horizon.estimate import _lm_refine
-from test_kernels import _ladder_starts
+from test_kernels import _bits, _fixture_windows, _ladder_starts
+
+LADDER_CHECK = Path(__file__).resolve().parent.parent / "tools" / "ladder_check.py"
 
 
 def _grid_values(c, k, noise, seed):
@@ -43,8 +52,7 @@ def _ladder(values, ran=()):
         return None
     starts = _ladder_starts(list(values))
     assert [start for start, _ in ran] == starts[: len(ran)]
-    t, ymax = np.arange(len(y), dtype=float), float(y.max())
-    fits = [fit for _, fit in ran] + [_lm_refine(y, t, ymax, *start) for start in starts[len(ran) :]]
+    fits = [fit for _, fit in ran] + [_lm_refine(y, *start) for start in starts[len(ran) :]]
     if not fits:
         return None
     best = _best(fits)
@@ -60,7 +68,7 @@ def _run(values, ran):
     (start, fit) of each of its _lm_refine calls to ran."""
 
     def record(*args):
-        ran.append((args[3:], _lm_refine(*args)))
+        ran.append((args[1:], _lm_refine(*args)))
         return ran[-1][1]
 
     with mock.patch.object(estimate, "_lm_refine", side_effect=record):
@@ -158,3 +166,39 @@ def test_nlls_matches_the_four_start_ladder_on_the_grid():
                     assert want is not None, (c, k, noise, n)
                     assert rmse <= want[1] * (1 + 1e-12) + 1e-14 * max(prefix), (c, k, noise, n)
                     assert abs(u - want[0][0]) <= 1e-6 * want[0][0], (c, k, noise, n)
+
+
+def _starts(y):
+    # under estimate_nlls's errstate: a cap of inf reaches inf - inf in the logit line
+    with np.errstate(over="ignore", invalid="ignore"):
+        return list(estimate._starts(np.array(y, dtype=float)))
+
+
+def test_starts_match_the_reference_on_the_grid_and_the_fixture_windows():
+    # every prefix of the accuracy grid with positive values, every seed
+    checked = 0
+    for c in (0.2, 0.4):
+        for k in range(8):
+            for noise, seeds in ((0.0, (0,)), (1.0, range(1, 11)), (5.0, range(1, 11))):
+                for seed in seeds:
+                    values = _grid_values(c, k, noise, seed)
+                    for n in range(5, 42):
+                        prefix = list(values[:n])
+                        if min(prefix) > 0:
+                            assert _bits(_starts(prefix)) == _bits(_ladder_starts(prefix)), (c, k, noise, seed, n)
+                            checked += 1
+    assert checked == 11_544
+    for ts in _fixture_windows():
+        y = list(ts.values)
+        if len(y) >= 4 and min(y) > 0:
+            assert _bits(_starts(y)) == _bits(_ladder_starts(y)), ts.labels[-1]
+
+
+def test_ladder_check_passes_on_the_fixture_windows(monkeypatch):
+    # the CI script against the private functions it calls; it puts src/
+    # and perfbench/ on sys.path, which is restored afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("ladder_check", LADDER_CHECK)
+    ladder_check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder_check)
+    assert ladder_check.check("fixture-windows", ladder_check.fixture_windows(), False) == []

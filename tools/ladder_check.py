@@ -4,10 +4,10 @@
 
 ``estimate_nlls`` runs its cap ladder (1.05, 1.5, 3 and 10 x max y) and
 stops after the first two starts when both converged to one fit.  This
-script rebuilds the whole ladder: ``_lm_refine`` from every cap's
-start, the best fit by (RMSE, u_max).  The starts the estimator ran are
-recorded and reused; the reference runs only the ones it skipped.  The
-input sets:
+script rebuilds the whole ladder: ``_lm_refine`` from every start of
+``estimate._starts``, the best fit by (RMSE, u_max).  The starts the
+estimator ran are recorded and reused; the reference runs only the ones
+it skipped.  The input sets:
 
 - grid: 41-point logistic specs, u_max 1000, c in {0.2, 0.4}, the
   inflection at t = 13 + k/8 for k = 0..7, noise_sd 0 with seed 0 and
@@ -45,7 +45,6 @@ import logistic_horizon as lh  # noqa: E402
 import workloads  # noqa: E402
 from logistic_horizon import estimate  # noqa: E402
 
-CAPS = (1.05, 1.5, 3.0, 10.0)
 RMSE_RTOL, RMSE_ATOL = 1e-12, 1e-14  # the second as a share of max(y)
 # largest relative move of u_max_hat per set: item 1's grid includes
 # prefixes of 5-11 points, where the optimum is flat; perfbench's goldens
@@ -54,37 +53,13 @@ MOVE_BOUND = {"grid": 1e-6, "noisy-sweep": workloads.FIT_RTOL,
               "fixture-windows": workloads.FIT_RTOL, "long-series": workloads.FIT_RTOL}
 
 
-def ladder_starts(y):
-    """(cap, a0, c0) of every cap that gives a start, in ladder order:
-    the logit line of each cap, as estimate_nlls builds it."""
-    n = len(y)
-    ymax = float(y.max())
-    tbar = (n - 1) / 2
-    dt = np.arange(n, dtype=float) - tbar
-    stt = n * (n**2 - 1) / 12
-    starts = []
-    for cap in (k * ymax for k in CAPS):
-        if not cap > ymax:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = np.fromiter(map(math.log, ((cap - y) / y).tolist()), float, n)
-            zbar, slope = estimate._logit_line(z, dt, stt)
-        try:
-            a0 = math.exp(zbar - slope * tbar)
-        except OverflowError:
-            continue
-        if math.isfinite(a0):
-            starts.append((cap, a0, -slope if -slope > 0 else 1e-6))
-    return starts
-
-
 def compare(values):
     """(outcome, reference, starts run, max y), where the outcome and the
     reference are None for a refusal, else (u_max, rmse)."""
     lm_refine, ran = estimate._lm_refine, []
 
     def record(*args):
-        ran.append((args[3:], lm_refine(*args)))
+        ran.append((args[1:], lm_refine(*args)))
         return ran[-1][1]
 
     ts = lh.TimeSeries([str(i) for i in range(len(values))], values, kind="cumulative")
@@ -97,11 +72,11 @@ def compare(values):
     y, ref = ts.array, None
     ymax = float(y.max())
     if y.min() > 0:  # else refused before the ladder
-        starts = ladder_starts(y)
+        with np.errstate(over="ignore", invalid="ignore"):  # estimate_nlls's, as _starts asks
+            starts = list(estimate._starts(y))
         if [start for start, _ in ran] != starts[: len(ran)]:
             raise AssertionError(f"estimate_nlls ran other starts than the ladder's on {values!r}")
-        t = np.arange(len(y), dtype=float)
-        fits = [fit for _, fit in ran] + [lm_refine(y, t, ymax, *s) for s in starts[len(ran) :]]
+        fits = [fit for _, fit in ran] + [lm_refine(y, *s) for s in starts[len(ran) :]]
         if fits:
             (u, a, c), rmse, _ = min(fits, key=lambda fit: (fit[1], fit[0][0]))
             try:
