@@ -122,6 +122,13 @@ class GenSpec:
             raise DomainError(f"t_step must be positive and finite, got {self.t_step!r}")
         if not math.isfinite(self.t_start):
             raise DomainError(f"t_start must be finite, got {self.t_start!r}")
+        # times rise with i, and generate computes each one this way
+        try:
+            last_finite = math.isfinite(self.t_start + (self.n_points - 1) * self.t_step)
+        except OverflowError:  # an int too large for a float
+            last_finite = False
+        if not last_finite:
+            raise DomainError("the last time, t_start + (n_points - 1) * t_step, is not finite")
         if self.noise_sd < 0 or not math.isfinite(self.noise_sd):
             raise DomainError(f"noise_sd must be >= 0 and finite, got {self.noise_sd!r}")
         require_int(self.seed, "seed")

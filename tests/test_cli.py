@@ -462,6 +462,10 @@ def test_exit_codes():
     rc, _, err = _run(["roots", "--order", "1"])
     assert rc == 1
     assert err.startswith("error:")
+    # a third time of 2e308 would be labelled inf
+    rc, out, err = _run(["simulate", "--umax", "7", "--a", "17", "--c", "1.5", "--n", "3", "--step", "1e308"])
+    assert (rc, out) == (1, "")
+    assert err == "error: the last time, t_start + (n_points - 1) * t_step, is not finite\n"
 
 
 def test_fixture_and_path_are_exclusive():

@@ -451,3 +451,22 @@ def test_bisection_brackets_have_nonzero_ends_of_opposite_sign():
             brackets += 1
     assert brackets == 300
     assert zero_midpoints > 0
+
+
+def test_bisection_refuses_a_bracket_without_a_sign_change_and_stops_at_adjacent_floats():
+    from logistic_horizon.derivpoly import _bisect_root
+
+    with pytest.raises(NumericalError, match="no sign change"):
+        _bisect_root(lambda u: u * u + 1.0, -1.0, 1.0)
+    # two adjacent floats 2.3e-13 apart, wider than the 1e-13 tolerance: the
+    # midpoint rounds to an end, so the loop ends without evaluating it
+    a, b = 1024.0, math.nextafter(1024.0, math.inf)
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        return u - 1024.0 - 1e-13
+
+    assert b - a > 1e-13
+    assert _bisect_root(f, a, b) in (a, b)
+    assert calls == [a, b]

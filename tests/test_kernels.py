@@ -414,7 +414,7 @@ def _fixture_windows():
                 yield TimeSeries(ts.labels[:n], ts.values[:n], ts.kind)
 
 
-def test_no_fixture_window_reaches_the_rival_bound():
+def test_detection_matches_the_reference_on_every_fixture_window():
     longest = 0
     for ts in _fixture_windows():
         for stencil in STENCILS.values():

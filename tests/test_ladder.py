@@ -4,15 +4,16 @@
 max(y) in turn, and stops after the first two starts that run when both
 converged and their u_max, a and c each agree within 1e-9 relative.
 The pick among the starts that ran is the lowest RMSE, ties to the
-lower u_max.  The reference ladder here refines every cap's start.
-``estimate._starts`` is the one place a start is built: its starts are
-checked bit for bit against the pure-Python ``_ladder_starts``, and
-``tools/ladder_check.py``, which takes its starts from it, runs on the
-fixture windows.
+lower u_max.  ``tools/ladder_check.py`` holds the accuracy grid and the
+reference that refines every cap's start; these tests run its check on
+a slice of the grid and on the fixture windows, and read its
+``compare`` where a test needs the fits.  ``estimate._starts`` is the
+one place a start is built: its starts are checked bit for bit against
+the pure-Python ``_ladder_starts`` on every positive grid prefix, which
+keeps the script's reference independent of them.
 """
 
 import importlib.util
-import math
 import sys
 from pathlib import Path
 from unittest import mock
@@ -20,61 +21,23 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from logistic_horizon import GenSpec, LogisticHorizonError, LogisticParams, TimeSeries, estimate_nlls, generate
+from logistic_horizon import TimeSeries, estimate_nlls
 from logistic_horizon import estimate
-from logistic_horizon.estimate import _lm_refine
 from test_kernels import _bits, _fixture_windows, _ladder_starts
 
-LADDER_CHECK = Path(__file__).resolve().parent.parent / "tools" / "ladder_check.py"
 
-
-def _grid_values(c, k, noise, seed):
-    """41 points of the accuracy grid's spec: u_max 1000, rate c, the
-    inflection at t = 13 + k/8, additive noise of the given sd and seed."""
-    a = math.exp(c * (13 + k / 8))
-    spec = GenSpec(LogisticParams(1000.0, a, c), n_points=41, noise_sd=noise, seed=seed)
-    return generate(spec).values
+PATH = Path(__file__).resolve().parent.parent / "tools" / "ladder_check.py"
+spec = importlib.util.spec_from_file_location("ladder_check", PATH)
+ladder_check = importlib.util.module_from_spec(spec)
+saved = list(sys.path)
+try:
+    spec.loader.exec_module(ladder_check)
+finally:
+    sys.path[:] = saved  # the script puts src/ and perfbench/ first
 
 
 def _series(values):
     return TimeSeries([str(i) for i in range(len(values))], values, kind="cumulative")
-
-
-def _best(fits):
-    return min(fits, key=lambda fit: (fit[1], fit[0][0]))
-
-
-def _ladder(values, ran=()):
-    """The fit of the whole four-start ladder, or None where nlls refuses.
-    ran: (start, fit) of the starts already refined, in ladder order."""
-    y = np.array(values, dtype=float)
-    if y.min() <= 0:
-        return None
-    starts = _ladder_starts(list(values))
-    assert [start for start, _ in ran] == starts[: len(ran)]
-    fits = [fit for _, fit in ran] + [_lm_refine(y, *start) for start in starts[len(ran) :]]
-    if not fits:
-        return None
-    best = _best(fits)
-    try:
-        LogisticParams(*best[0])
-    except LogisticHorizonError:
-        return None
-    return best
-
-
-def _run(values, ran):
-    """estimate_nlls's (u_max, a, c), rmse and converged; appends the
-    (start, fit) of each of its _lm_refine calls to ran."""
-
-    def record(*args):
-        ran.append((args[1:], _lm_refine(*args)))
-        return ran[-1][1]
-
-    with mock.patch.object(estimate, "_lm_refine", side_effect=record):
-        est = estimate_nlls(_series(values))
-    d = est.diagnostics
-    return (est.u_max_hat, d["a"], d["c"]), d["rmse"], d["converged"]
 
 
 # noiseless prefixes of c = 0.2, k = 0: at 13 points the second start wins
@@ -82,13 +45,14 @@ def _run(values, ran):
 # 16 the second, where a skipped start would have won on the same optimum
 @pytest.mark.parametrize("n", [13, 14, 16])
 def test_noiseless_series_runs_two_starts_and_picks_the_better(n):
-    values = _grid_values(0.2, 0, 0.0, 0)[:n]
-    ran = []
-    got = _run(values, ran)
+    values = ladder_check.grid_values(0.2, 0, 0.0, 0)[:n]
+    got, best, ran = ladder_check.compare(values)
     assert [start for start, _ in ran] == _ladder_starts(list(values))[:2]
     fits = [fit for _, fit in ran]
     assert all(fit[2] for fit in fits)
-    assert got == _best(fits)
+    win, lose = fits if n == 14 else fits[::-1]
+    assert got == win and got[1] < lose[1]
+    assert (got == best) == (n == 13)
 
 
 # prefixes of the accuracy grid where the first two starts do not agree
@@ -105,11 +69,9 @@ DIVERGING = {
 @pytest.mark.parametrize("where", list(DIVERGING))
 def test_every_start_runs_where_the_first_two_differ(where):
     c, k, noise, seed, n = DIVERGING[where]
-    values = _grid_values(c, k, noise, seed)[:n]
-    ran = []
-    got = _run(values, ran)
+    got, best, ran = ladder_check.compare(ladder_check.grid_values(c, k, noise, seed)[:n])
     assert len(ran) == 4
-    assert got == _ladder(values, ran)
+    assert got is not None and got == best
 
 
 # scripted _lm_refine results, one per start in ladder order: the rule
@@ -150,22 +112,10 @@ def test_rule_runs_every_start_otherwise(first, second):
 
 def test_nlls_matches_the_four_start_ladder_on_the_grid():
     # the noiseless slice of the accuracy grid, and its seed-1 specs at
-    # noise 1 and 5, every prefix of 5-41 points
-    for c in (0.2, 0.4):
-        for k in range(8):
-            for noise, seed in ((0.0, 0), (1.0, 1), (5.0, 1)):
-                values = _grid_values(c, k, noise, seed)
-                for n in range(5, 42):
-                    prefix, ran = values[:n], []
-                    try:
-                        (u, _, _), rmse, _ = _run(prefix, ran)
-                    except LogisticHorizonError:
-                        assert _ladder(prefix, ran) is None, (c, k, noise, n)
-                        continue
-                    want = _ladder(prefix, ran)
-                    assert want is not None, (c, k, noise, n)
-                    assert rmse <= want[1] * (1 + 1e-12) + 1e-14 * max(prefix), (c, k, noise, n)
-                    assert abs(u - want[0][0]) <= 1e-6 * want[0][0], (c, k, noise, n)
+    # noise 1 and 5: the same refusals, an RMSE within 1e-12 relative plus
+    # 1e-14 of max y of the ladder's, u_max_hat within 1e-6 relative
+    specs = [(c, k, noise, seed) for c, k, noise, seed in ladder_check.GRID if seed < 2]
+    assert ladder_check.check("grid", ladder_check.grid(specs), False) == []
 
 
 def _starts(y):
@@ -177,16 +127,11 @@ def _starts(y):
 def test_starts_match_the_reference_on_the_grid_and_the_fixture_windows():
     # every prefix of the accuracy grid with positive values, every seed
     checked = 0
-    for c in (0.2, 0.4):
-        for k in range(8):
-            for noise, seeds in ((0.0, (0,)), (1.0, range(1, 11)), (5.0, range(1, 11))):
-                for seed in seeds:
-                    values = _grid_values(c, k, noise, seed)
-                    for n in range(5, 42):
-                        prefix = list(values[:n])
-                        if min(prefix) > 0:
-                            assert _bits(_starts(prefix)) == _bits(_ladder_starts(prefix)), (c, k, noise, seed, n)
-                            checked += 1
+    for key, values in ladder_check.grid():
+        prefix = list(values)
+        if min(prefix) > 0:
+            assert _bits(_starts(prefix)) == _bits(_ladder_starts(prefix)), key
+            checked += 1
     assert checked == 11_544
     for ts in _fixture_windows():
         y = list(ts.values)
@@ -194,11 +139,6 @@ def test_starts_match_the_reference_on_the_grid_and_the_fixture_windows():
             assert _bits(_starts(y)) == _bits(_ladder_starts(y)), ts.labels[-1]
 
 
-def test_ladder_check_passes_on_the_fixture_windows(monkeypatch):
-    # the CI script against the private functions it calls; it puts src/
-    # and perfbench/ on sys.path, which is restored afterwards
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("ladder_check", LADDER_CHECK)
-    ladder_check = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder_check)
+def test_ladder_check_passes_on_the_fixture_windows():
+    # the CI script against the private functions it calls
     assert ladder_check.check("fixture-windows", ladder_check.fixture_windows(), False) == []

@@ -132,6 +132,11 @@ def test_gen_spec_validation():
         GenSpec(params=_params(), n_points=10, seed=1.5)
     with pytest.raises(DomainError, match="t_start must be finite"):
         GenSpec(params=_params(), n_points=10, t_start=math.inf)
+    # the last time out of float range, as a float and as an int too large for one
+    with pytest.raises(DomainError, match="last time"):
+        GenSpec(params=_params(), n_points=3, t_step=1e308)
+    with pytest.raises(DomainError, match="last time"):
+        GenSpec(params=_params(), n_points=10**400)
 
 
 def _bench_specs():

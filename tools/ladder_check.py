@@ -27,6 +27,11 @@ more than 1e-12 relative plus 1e-14 * max(y), or a move exceeds its
 set's bound.  ``--list-moved`` prints every moved noisy-sweep and
 fixture-windows result by its perfbench golden key, with the
 truncation for noisy-sweep.
+
+This is the one implementation of the comparison: tests/test_ladder.py
+imports it and runs ``check`` on the grid specs ``GRID`` with seed 0 or
+1 and on the fixture windows, and reads ``compare`` and
+``grid_values``.
 """
 
 import argparse
@@ -54,8 +59,9 @@ MOVE_BOUND = {"grid": 1e-6, "noisy-sweep": workloads.FIT_RTOL,
 
 
 def compare(values):
-    """(outcome, reference, starts run, max y), where the outcome and the
-    reference are None for a refusal, else (u_max, rmse)."""
+    """(nlls, best, ran): estimate_nlls's fit, the whole ladder's best fit
+    and the (start, fit) of each start it ran, where a fit is
+    ((u_max, a, c), rmse, converged) and None for a refusal."""
     lm_refine, ran = estimate._lm_refine, []
 
     def record(*args):
@@ -66,11 +72,11 @@ def compare(values):
     with mock.patch.object(estimate, "_lm_refine", record):
         try:
             est = estimate.estimate_nlls(ts)
-            got = (est.u_max_hat, est.diagnostics["rmse"])
+            d = est.diagnostics
+            got = (est.u_max_hat, d["a"], d["c"]), d["rmse"], d["converged"]
         except lh.LogisticHorizonError:
             got = None
-    y, ref = ts.array, None
-    ymax = float(y.max())
+    y, best = ts.array, None
     if y.min() > 0:  # else refused before the ladder
         with np.errstate(over="ignore", invalid="ignore"):  # estimate_nlls's, as _starts asks
             starts = list(estimate._starts(y))
@@ -78,25 +84,31 @@ def compare(values):
             raise AssertionError(f"estimate_nlls ran other starts than the ladder's on {values!r}")
         fits = [fit for _, fit in ran] + [lm_refine(y, *s) for s in starts[len(ran) :]]
         if fits:
-            (u, a, c), rmse, _ = min(fits, key=lambda fit: (fit[1], fit[0][0]))
+            best = min(fits, key=lambda fit: (fit[1], fit[0][0]))
             try:
-                lh.LogisticParams(u, a, c)
-                ref = (u, rmse)
+                lh.LogisticParams(*best[0])
             except lh.LogisticHorizonError:
-                pass
-    return got, ref, len(ran), ymax
+                best = None
+    return got, best, ran
 
 
-def grid():
-    for c in (0.2, 0.4):
-        for k in range(8):
-            a = math.exp(c * (13 + k / 8))
-            for noise, seeds in ((0.0, (0,)), (1.0, range(1, 11)), (5.0, range(1, 11))):
-                for seed in seeds:
-                    spec = lh.GenSpec(lh.LogisticParams(1000.0, a, c), n_points=41, noise_sd=noise, seed=seed)
-                    values = lh.generate(spec).values
-                    for n in range(5, 42):
-                        yield f"c={c} k={k} noise={noise:g} seed={seed} n={n}", values[:n]
+def grid_values(c, k, noise, seed):
+    """The 41 values of one grid spec: u_max 1000, rate c, the inflection
+    at t = 13 + k/8, additive noise of the given sd and seed."""
+    spec = lh.GenSpec(lh.LogisticParams(1000.0, math.exp(c * (13 + k / 8)), c), n_points=41,
+                      noise_sd=noise, seed=seed)
+    return lh.generate(spec).values
+
+
+GRID = [(c, k, noise, seed) for c in (0.2, 0.4) for k in range(8)
+        for noise, seeds in ((0.0, (0,)), (1.0, range(1, 11)), (5.0, range(1, 11))) for seed in seeds]
+
+
+def grid(specs=GRID):
+    for c, k, noise, seed in specs:
+        values = grid_values(c, k, noise, seed)
+        for n in range(5, 42):
+            yield f"c={c} k={k} noise={noise:g} seed={seed} n={n}", values[:n]
 
 
 def noisy_sweep():
@@ -133,16 +145,17 @@ def check(name, inputs, list_moved):
     fits = refusals = starts = moved = 0
     worst_move = excess_rel = excess_abs = 0.0
     for key, values in inputs:
-        got, ref, ran, ymax = compare(values)
-        if (got is None) != (ref is None):
-            faults.append(f"{name} {key}: refusal differs: {got!r} against the ladder's {ref!r}")
+        got, best, ran = compare(values)
+        if (got is None) != (best is None):
+            faults.append(f"{name} {key}: refusal differs: {got!r} against the ladder's {best!r}")
             continue
         if got is None:
             refusals += 1
             continue
         fits += 1
-        starts += ran
-        (u, rmse), (u_ref, rmse_ref) = got, ref
+        starts += len(ran)
+        ymax = float(max(values))
+        ((u, _, _), rmse, _), ((u_ref, _, _), rmse_ref, _) = got, best
         if u != u_ref:
             moved += 1
             if list_moved and name in ("noisy-sweep", "fixture-windows"):
