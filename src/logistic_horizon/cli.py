@@ -27,6 +27,7 @@ from .eulerian import eulerian_row
 from .fixtures import FIXTURE_NAMES, get_fixture
 from .logistic import LogisticParams
 from .series import (
+    FIRST_LOCAL_MAX,
     POLICIES,
     SERIES_KINDS,
     CharacteristicPoint,
@@ -170,7 +171,7 @@ def _cmd_estimate(args, stdin, stdout) -> int:
             raise DomainError(f"{flag} is for --method {' or '.join(methods)}, not --method {args.method}")
     ts = _load_series(args, stdin)
     mode = "paper-rounded" if args.constant == "paper" else "exact"
-    policy = args.policy or "first-local-max"
+    policy = args.policy or FIRST_LOCAL_MAX
     est = run_method(args.method, ts, args.n, 4 if args.degree is None else args.degree, mode, policy)
     scale = abs(ts.array).max()
     exact = est.u_max_hat
@@ -237,7 +238,7 @@ def _cmd_bench(args, stdin, stdout) -> int:
             config = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {args.config}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise ParseError(f"{args.config}: invalid JSON: {exc}") from None
     try:
         spec_items = config["specs"]
@@ -256,7 +257,7 @@ def _cmd_bench(args, stdin, stdout) -> int:
             # the keys given, as given: GenSpec alone holds the defaults and checks
             given = {k: item[k] for k in ("t_start", "t_step", "noise_sd", "seed") if k in item}
             specs.append(GenSpec(params=params, n_points=item["n_points"], **given))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{args.config}: bad spec at index {i}: {exc}") from None
     rows = benchmark_estimators(specs, truncations)
     if args.format == "json":
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[common, data], help="difference table and characteristic point")
     p.set_defaults(run=_cmd_analyze)
     p.add_argument("--diff", choices=("scd", "sld"), default="scd")
-    p.add_argument("--policy", choices=POLICIES, default="first-local-max")
+    p.add_argument("--policy", choices=POLICIES, default=FIRST_LOCAL_MAX)
 
     p = sub.add_parser("estimate", parents=[common, data], help="estimate the saturation level")
     p.set_defaults(run=_cmd_estimate)

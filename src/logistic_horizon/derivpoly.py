@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import DomainError, NumericalError, require_int
+from .errors import FLOAT_MAX, DomainError, NumericalError, require_int, show
 from .eulerian import eulerian_row
 
 # Construction cap for derivative order. Integer arithmetic is exact at
@@ -64,9 +64,9 @@ class RiccatiParams:
     u2: float
 
     def __post_init__(self):
-        if self.r == 0 or not math.isfinite(self.r):
-            raise DomainError(f"r must be nonzero and finite, got {self.r!r}")
-        if not (math.isfinite(self.u1) and math.isfinite(self.u2)):
+        if not 0 < abs(self.r) <= FLOAT_MAX:
+            raise DomainError(f"r must be nonzero and finite, got {show(self.r)}")
+        if not (abs(self.u1) <= FLOAT_MAX and abs(self.u2) <= FLOAT_MAX):
             raise DomainError("u1 and u2 must be finite")
         if self.u1 == self.u2:
             raise DomainError("u1 and u2 must be distinct (repeated root not supported)")
@@ -114,7 +114,7 @@ def eval_poly(p: DerivativePolynomial, u: float) -> float:
     try:
         s = _in_range(_eulerian_sum(p.eulerian_row, p.deriv_order, u, u - 1.0, 1), u)
     except OverflowError as exc:
-        raise NumericalError(f"P_{p.deriv_order + 1}({u!r}) is out of float range: {exc}") from None
+        raise NumericalError(f"P_{p.deriv_order + 1}({show(u)}) is out of float range: {exc}") from None
     return -s if p.deriv_order % 2 else s
 
 
@@ -122,7 +122,7 @@ def _check_order(n, minimum):
     require_int(n, "derivative order", minimum)
     if n > MAX_DERIV_ORDER:
         raise DomainError(
-            f"derivative order {n} exceeds the construction cap {MAX_DERIV_ORDER}"
+            f"derivative order {show(n)} exceeds the construction cap {MAX_DERIV_ORDER}"
         )
 
 
@@ -164,7 +164,7 @@ def riccati_nth_derivative(params: RiccatiParams, n: int, u: float) -> float:
         # a zero sum takes only the sign of r**n, which may overflow
         return _in_range((params.r**n if s else math.copysign(1.0, params.r) ** n) * s, u)
     except (OverflowError, ValueError) as exc:
-        raise NumericalError(f"derivative of order {n} at u={u!r} is out of float range: {exc}") from None
+        raise NumericalError(f"derivative of order {n} at u={show(u)} is out of float range: {exc}") from None
 
 
 def _bisect_root(f, a: float, b: float) -> float:

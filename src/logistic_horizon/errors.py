@@ -7,6 +7,12 @@ nonzero exit status without guessing which module complained.
 
 from __future__ import annotations
 
+import sys
+
+# ``0 < x <= FLOAT_MAX`` is ``x > 0 and math.isfinite(x)`` for a float, and
+# is exact for an int, which math.isfinite overflows on beyond float range
+FLOAT_MAX = sys.float_info.max
+
 
 class LogisticHorizonError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,7 +27,16 @@ def require_int(value, what: str, minimum: int | None = None) -> None:
     bad = not isinstance(value, int) or isinstance(value, bool)
     if bad or (minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise DomainError(f"{what} must be an integer{bound}, got {value!r}")
+        raise DomainError(f"{what} must be an integer{bound}, got {show(value)}")
+
+
+def show(value) -> str:
+    """``repr(value)`` for a message; an int too long for ``repr`` (past
+    Python's limit on digits, 4300 by default) gives its sign and size."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
 class NumericalError(LogisticHorizonError):

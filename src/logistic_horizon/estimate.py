@@ -38,7 +38,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .derivpoly import characteristic_level
-from .errors import DomainError, EstimationError, NumericalError, require_int
+from .errors import DomainError, EstimationError, NumericalError, require_int, show
 from .logistic import LogisticParams
 from .series import (
     FIRST_LOCAL_MAX,
@@ -51,6 +51,7 @@ from .series import (
 )
 
 CONSTANT_MODES = ("exact", "paper-rounded")
+_PAPER_DIGITS = 3  # significant digits of the fractions in printed worked examples
 METHODS = ("scd", "sld", "polyfit", "nlls", "order-n")
 
 
@@ -88,8 +89,8 @@ def _horner(cs, x):
     return acc
 
 
-def _trunc_significant(x: float, digits: int = 3) -> float:
-    shift = digits - 1 - math.floor(math.log10(abs(x)))
+def _trunc_significant(x: float) -> float:
+    shift = _PAPER_DIGITS - 1 - math.floor(math.log10(abs(x)))
     scale = 10.0**shift
     return math.trunc(x * scale) / scale
 
@@ -102,7 +103,7 @@ def resolve_constant(n: int, constant_mode: str) -> float:
         raise DomainError(f"constant_mode must be one of {CONSTANT_MODES}, got {constant_mode!r}")
     level = characteristic_level(n)
     if constant_mode == "paper-rounded":
-        return _trunc_significant(level, 3)
+        return _trunc_significant(level)
     return level
 
 
@@ -202,7 +203,7 @@ def fit_polynomial_lsm(ts: TimeSeries, degree: int) -> PolyFit:
     require_int(degree, "degree", 2)
     n = len(ts)
     if n <= degree:
-        raise DomainError(f"need more points than the degree: {n} points for degree {degree}")
+        raise DomainError(f"need more points than the degree: {n} points for degree {show(degree)}")
     x = np.arange(n, dtype=float)
     design = np.vander(x, degree + 1, increasing=True)
     coeffs, _, rank, _ = np.linalg.lstsq(design, ts.array, rcond=None)
@@ -253,7 +254,7 @@ def polyfit_estimate(
     third-derivative fraction."""
     require_int(degree, "degree", 4)
     if degree % 2:
-        raise DomainError(f"degree must be an even integer >= 4, got {degree!r}")
+        raise DomainError(f"degree must be an even integer >= 4, got {show(degree)}")
     _require_levels(ts)
     constant = resolve_constant(3, constant_mode)
     fit = fit_polynomial_lsm(ts, degree)

@@ -25,7 +25,7 @@ import threading
 from math import comb
 from typing import Sequence
 
-from .errors import DomainError, require_int
+from .errors import DomainError, require_int, show
 
 # rows[n] is the full row (A(n,0), ..., A(n,n)); grown on demand
 _rows: list[tuple[int, ...]] = [(1,)]
@@ -65,7 +65,7 @@ def eulerian_explicit(n: int, k: int) -> int:
     require_int(n, "n", 0)
     require_int(k, "k", 0)
     if k > n:
-        raise DomainError(f"k must satisfy 0 <= k <= n, got k={k!r} for n={n}")
+        raise DomainError(f"k must satisfy 0 <= k <= n, got k={show(k)} for n={n}")
     total = 0
     for j in range(k + 1):
         total += (-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n

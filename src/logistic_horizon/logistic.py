@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .derivpoly import RiccatiParams, characteristic_level, riccati_nth_derivative
-from .errors import DomainError, NumericalError, require_int
+from .errors import FLOAT_MAX, DomainError, NumericalError, require_int, show
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,12 @@ class LogisticParams:
     c: float
 
     def __post_init__(self):
-        if not (self.u_max > 0) or not math.isfinite(self.u_max):
-            raise DomainError(f"u_max must be positive and finite, got {self.u_max!r}")
-        if not (self.a > 0) or not math.isfinite(self.a):
-            raise DomainError(f"a must be positive and finite, got {self.a!r}")
-        if not (self.c > 0) or not math.isfinite(self.c):
-            raise DomainError(f"c must be positive and finite, got {self.c!r}")
+        if not 0 < self.u_max <= FLOAT_MAX:
+            raise DomainError(f"u_max must be positive and finite, got {show(self.u_max)}")
+        if not 0 < self.a <= FLOAT_MAX:
+            raise DomainError(f"a must be positive and finite, got {show(self.a)}")
+        if not 0 < self.c <= FLOAT_MAX:
+            raise DomainError(f"c must be positive and finite, got {show(self.c)}")
 
     @property
     def c1(self) -> float:
@@ -84,7 +84,7 @@ def level_crossing_time(params: LogisticParams, level: float) -> float:
     """
     if not (0 < level < params.u_max):
         raise DomainError(
-            f"level must lie strictly between 0 and u_max={params.u_max}, got {level!r}"
+            f"level must lie strictly between 0 and u_max={params.u_max}, got {show(level)}"
         )
     ratio = params.a * level / (params.u_max - level)
     if not 2.0**-1022 <= ratio < math.inf:  # not a normal float: the ratio under- or overflowed

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CharacteristicPointNotFound, DomainError, require_int
+from .errors import CharacteristicPointNotFound, DomainError, require_int, show
 
 SERIES_KINDS = ("raw", "cumulative")
 
@@ -151,7 +151,7 @@ def cumulate(ts: TimeSeries) -> TimeSeries:
 
 def _require_length(ts: TimeSeries, minimum: int) -> None:
     if len(ts) < minimum:
-        raise DomainError(f"series too short: need at least {minimum} points, got {len(ts)}")
+        raise DomainError(f"series too short: need at least {show(minimum)} points, got {len(ts)}")
 
 
 @np.errstate(over="ignore", invalid="ignore")

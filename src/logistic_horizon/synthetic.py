@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import CharacteristicPointNotFound, DomainError, LogisticHorizonError, require_int
+from .errors import FLOAT_MAX, CharacteristicPointNotFound, DomainError, LogisticHorizonError, require_int, show
 from .estimate import run_method
 from .logistic import LogisticParams, logistic_eval
 from .series import TimeSeries
@@ -87,7 +87,7 @@ _ICDF_PLOW = 0.02425
 def normal_icdf(p: float) -> float:
     """Inverse standard normal CDF for p in (0, 1)."""
     if not 0.0 < p < 1.0:
-        raise DomainError(f"p must lie strictly inside (0, 1), got {p!r}")
+        raise DomainError(f"p must lie strictly inside (0, 1), got {show(p)}")
     a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
     if p < _ICDF_PLOW or p > 1.0 - _ICDF_PLOW:
         q = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
@@ -118,10 +118,10 @@ class GenSpec:
 
     def __post_init__(self):
         require_int(self.n_points, "n_points", 3)
-        if not (self.t_step > 0) or not math.isfinite(self.t_step):
-            raise DomainError(f"t_step must be positive and finite, got {self.t_step!r}")
-        if not math.isfinite(self.t_start):
-            raise DomainError(f"t_start must be finite, got {self.t_start!r}")
+        if not 0 < self.t_step <= FLOAT_MAX:
+            raise DomainError(f"t_step must be positive and finite, got {show(self.t_step)}")
+        if not abs(self.t_start) <= FLOAT_MAX:
+            raise DomainError(f"t_start must be finite, got {show(self.t_start)}")
         # times rise with i, and generate computes each one this way
         try:
             last_finite = math.isfinite(self.t_start + (self.n_points - 1) * self.t_step)
@@ -129,8 +129,8 @@ class GenSpec:
             last_finite = False
         if not last_finite:
             raise DomainError("the last time, t_start + (n_points - 1) * t_step, is not finite")
-        if self.noise_sd < 0 or not math.isfinite(self.noise_sd):
-            raise DomainError(f"noise_sd must be >= 0 and finite, got {self.noise_sd!r}")
+        if not 0 <= self.noise_sd <= FLOAT_MAX:
+            raise DomainError(f"noise_sd must be >= 0 and finite, got {show(self.noise_sd)}")
         require_int(self.seed, "seed")
 
 
@@ -172,7 +172,7 @@ def benchmark_estimators(specs, truncations) -> list[dict]:
         for k in truncations:
             require_int(k, "truncation", 1)
             if k > spec.n_points:
-                raise DomainError(f"truncation {k} must lie in [1, n_points={spec.n_points}]")
+                raise DomainError(f"truncation {show(k)} must lie in [1, n_points={spec.n_points}]")
     rows = []
     below = 0
     with warnings.catch_warnings():

@@ -2,10 +2,13 @@ import sys
 
 from hypothesis import settings
 
-# The property tests draw 150 examples each;
-# `pytest --hypothesis-profile=thorough` draws 2000, with the same
-# settings otherwise.
+# The one place that sets the property tests' budget: 150 examples each,
+# no deadline and no example database. `pytest --hypothesis-profile=thorough`
+# draws 2000, with the same settings otherwise; hypothesis's pytest plugin
+# loads that option after this initial conftest, so it wins.
+settings.register_profile("default", max_examples=150, deadline=None, database=None)
 settings.register_profile("thorough", max_examples=2000, deadline=None, database=None)
+settings.load_profile("default")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -424,6 +424,25 @@ def test_bench_refuses_fractional_integer_fields(tmp_path, fields):
     assert "bad spec at index 0" in err
 
 
+@pytest.mark.parametrize(
+    "digits, message",
+    [
+        # parsed, but too large for float()
+        (401, "bad spec at index 0: int too large to convert to float"),
+        # past Python's limit on digits, so json refuses the literal
+        (5000, "invalid JSON: Exceeds the limit"),
+    ],
+    ids=["past-float-range", "past-digit-limit"],
+)
+def test_bench_refuses_an_int_out_of_range(tmp_path, digits, message):
+    config = tmp_path / "bench.json"
+    huge = "1" + "0" * (digits - 1)
+    config.write_text(f'{{"specs": [{{"u_max": {huge}, "a": 200, "c": 0.4, "n_points": 12}}], "truncations": [9]}}')
+    rc, out, err = _run(["bench", "--config", str(config)])
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {config}: {message}")
+
+
 def test_bench_config_errors(tmp_path):
     missing = tmp_path / "missing.json"
     rc, out, err = _run(["bench", "--config", str(missing)])

@@ -1,6 +1,8 @@
 """Every public function of series, synthetic, derivpoly and logistic
 returns or refuses with a LogisticHorizonError, never another
-exception, on finite arguments out to the ends of float range.
+exception, on finite arguments out to the ends of float range, and
+the constructors LogisticParams, GenSpec and RiccatiParams also on
+ints beyond it.
 
 The estimators and logistic_nth_derivative have properties of their
 own in test_estimate.py and test_logistic.py.
@@ -10,7 +12,7 @@ import math
 from functools import partial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from logistic_horizon import (
@@ -39,14 +41,13 @@ from logistic_horizon import (
 )
 from logistic_horizon.series import SERIES_KINDS
 
-# 150 examples, or more under the active profile, such as "thorough"
-# (see conftest.py)
-SETTINGS = settings(deadline=None, database=None, max_examples=max(150, settings.default.max_examples))
-
 EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308)
 value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES)
+# constructor arguments, with ints too large to convert to a float
+BEYOND = (10**400, -(10**400))
+number = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES + BEYOND)
 # curve parameters and levels: mostly valid, with 0.0 still refused
-magnitude = value.map(abs)
+magnitude = number.map(abs)
 
 
 def _outcome(call, *args):
@@ -57,7 +58,6 @@ def _outcome(call, *args):
         return None
 
 
-@SETTINGS
 @given(st.lists(value, max_size=12), st.sampled_from(SERIES_KINDS), st.integers(1, 8))
 def test_series_functions_return_or_refuse(values, kind, order):
     ts = _outcome(TimeSeries, map(str, range(len(values))), values, kind)
@@ -71,16 +71,17 @@ def test_series_functions_return_or_refuse(values, kind, order):
                 _outcome(find_characteristic_point, ds, policy)
 
 
-@SETTINGS
 @pytest.mark.filterwarnings("ignore:estimated saturation level:RuntimeWarning")
 @given(
     st.tuples(magnitude, magnitude, magnitude),
     st.integers(2, 12),
-    st.tuples(value, magnitude, magnitude),
+    st.tuples(number, magnitude, magnitude),
     st.integers(-(2**64), 2**64),
     st.lists(st.integers(0, 12), max_size=3),
     value,
 )
+@example((1.0, 1.0, 10**400), 5, (0.0, 1.0, 0.0), 0, [], 0.5)
+@example((1.0, 1.0, 1.0), 5, (0.0, 1.0, 10**400), 0, [], 0.5)
 def test_synthetic_functions_return_or_refuse(curve, n_points, start_step_noise, seed, truncations, p):
     _outcome(normal_icdf, p)
     params = _outcome(LogisticParams, *curve)
@@ -93,9 +94,10 @@ def test_synthetic_functions_return_or_refuse(curve, n_points, start_step_noise,
     _outcome(benchmark_estimators, [spec], truncations)
 
 
-@SETTINGS
-@given(st.integers(-1, 30), value, value, value, value)
+@given(st.integers(-1, 30), number, number, number, value)
 @example(17, 1.0, 0.0, 1.0, 2.0742890763388816e16)  # fsum's intermediate overflow in eval_poly
+@example(2, 10**400, 0.0, 1.0, 0.5)
+@example(2, 1.0, -(10**400), 1.0, 0.5)
 def test_derivpoly_functions_return_or_refuse(n, r, u1, u2, u):
     _outcome(poly_roots, n)
     _outcome(characteristic_level, n)
@@ -107,7 +109,6 @@ def test_derivpoly_functions_return_or_refuse(n, r, u1, u2, u):
         _outcome(riccati_nth_derivative, params, n, u)
 
 
-@SETTINGS
 @given(magnitude, magnitude, magnitude, value, magnitude, st.integers(0, 30))
 @example(1.0, 1e-300, 1.0, 0.0, 1e-300, 2)  # a * level underflows to 0
 @example(1e10, 1e300, 1.0, 0.0, 5e9, 2)  # a * level overflows to inf

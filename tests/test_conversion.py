@@ -29,16 +29,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from logistic_horizon import DomainError, GenSpec, LogisticParams, TimeSeries, cumulate, generate
-
-# 150 examples, or more under the active profile, such as "thorough"
-# (see conftest.py)
-SETTINGS = settings(
-    deadline=None, database=None, max_examples=max(150, settings.default.max_examples)
-)
 
 value = st.one_of(
     st.floats(),  # nan and both infinities included
@@ -91,7 +85,6 @@ NUMBERS = [1.5, -0.0, 5e-324, 7, -(2**63), 2**53 + 1, True, False, np.float32(0.
            np.float64(2.5), Decimal("0.1"), Fraction(1, 3)]
 
 
-@SETTINGS
 @given(st.lists(value, max_size=30), st.sampled_from(sorted(CONTAINERS)))
 @example([2**63 + 1, True, Decimal("0.1"), Fraction(1, 3), "1_000", np.float32(0.1)], "generator")
 @example([1.0, None, 2.0], "tuple")

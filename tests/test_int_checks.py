@@ -2,9 +2,11 @@
 
 A plain ``ast`` walk, as in ``test_imports.py``: no module of the
 package may spell out ``isinstance(..., bool)`` outside the helper.
+A refusal names an int too long for ``repr`` by its sign and size.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +16,21 @@ import logistic_horizon
 from logistic_horizon import (
     DomainError,
     GenSpec,
+    LogisticHorizonError,
     LogisticParams,
+    RiccatiParams,
     benchmark_estimators,
+    build_poly,
     characteristic_level,
     eulerian_row,
+    eval_poly,
     get_fixture,
     higher_order_estimate,
+    level_crossing_time,
+    normal_icdf,
     nth_central_diff,
     polyfit_estimate,
+    riccati_nth_derivative,
 )
 from logistic_horizon.errors import require_int
 from logistic_horizon.eulerian import eulerian_explicit
@@ -99,3 +108,36 @@ def test_every_site_uses_the_helper(call, message):
     with pytest.raises(DomainError, match=f"^{message}, got "):
         call()
 
+
+
+HUGE = 10**5000  # past Python's limit of 4300 digits for repr of an int
+RICCATI = RiccatiParams(1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: require_int(-HUGE, "n", 3), "n must be an integer >= 3, got a negative int of 16610 bits"),
+        (lambda: GenSpec(PARAMS, n_points=-HUGE), "n_points must be an integer >= 3, got a negative int of 16610 bits"),
+        (lambda: GenSpec(PARAMS, 9, t_step=HUGE), "t_step must be positive and finite, got an int of 16610 bits"),
+        (lambda: LogisticParams(1, 1, HUGE), "c must be positive and finite, got an int of 16610 bits"),
+        (lambda: RiccatiParams(-HUGE, 0, 1), "r must be nonzero and finite, got a negative int of 16610 bits"),
+        (lambda: eulerian_explicit(3, HUGE), "k must satisfy 0 <= k <= n, got k=an int of 16610 bits for n=3"),
+        (lambda: polyfit_estimate(GERMANY, HUGE + 1), "degree must be an even integer >= 4, got an int of 16610 bits"),
+        (lambda: level_crossing_time(PARAMS, HUGE), "level must lie strictly between 0 and u_max=1.0, got an int of 16610 bits"),
+        (lambda: normal_icdf(-HUGE), "p must lie strictly inside (0, 1), got a negative int of 16610 bits"),
+        (lambda: eval_poly(build_poly(3), HUGE), "P_4(an int of 16610 bits) is out of float range: "),
+        (lambda: riccati_nth_derivative(RICCATI, 3, HUGE), "derivative of order 3 at u=an int of 16610 bits is out of float range: "),
+        (lambda: characteristic_level(HUGE), "derivative order an int of 16610 bits exceeds the construction cap 25"),
+        (lambda: polyfit_estimate(GERMANY, HUGE), "need more points than the degree: 18 points for degree an int of 16610 bits"),
+        (lambda: nth_central_diff(GERMANY, HUGE), "series too short: need at least an int of 16610 bits points, got 18"),
+        (lambda: benchmark_estimators([SPEC], [HUGE]), "truncation an int of 16610 bits must lie in [1, n_points=9]"),
+    ],
+    ids=[
+        "require_int", "n_points", "t_step", "LogisticParams", "RiccatiParams", "k", "odd degree", "level", "p",
+        "eval_poly", "riccati", "order cap", "even degree", "stencil", "truncation",
+    ],
+)
+def test_a_refusal_shows_an_int_too_long_for_repr(call, message):
+    with pytest.raises(LogisticHorizonError, match=f"^{re.escape(message)}"):
+        call()

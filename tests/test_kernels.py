@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from logistic_horizon import (
@@ -54,12 +54,6 @@ from logistic_horizon.estimate import (
     _logit_line,
     _solve1,
     _work_arrays,
-)
-
-# 150 examples, or more under the active profile, such as "thorough"
-# (see conftest.py)
-SETTINGS = settings(
-    deadline=None, database=None, max_examples=max(150, settings.default.max_examples)
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -260,7 +254,6 @@ def _ref_logistic_nth_derivative(lp, n, t):
 # ---------------------------------------------------------------- stencils
 
 
-@SETTINGS
 @given(levels)
 @example([-0.0, 0.0, -0.0, 0.0])  # -0.0 results: a sum started at +0.0 would read +0.0
 @example([0.0, 1e308, 0.0, 0.0])  # 2 y[t] overflows: halving each term first would not
@@ -272,7 +265,6 @@ def test_second_differences_match_reference(y):
     assert _bits(second_left_diff(ts).values) == _bits(_ref_sld(y))
 
 
-@SETTINGS
 @given(st.integers(2, 6), st.lists(st.one_of(finite, coarse), min_size=7, max_size=40))
 @example(6, [0.0, -2.9961552247705263e307, 0.0, 0.0, 0.0, 2.9961552247705263e307, 0.0])
 @example(2, [-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0])  # every term -0.0: the +0.0 start shows
@@ -305,7 +297,6 @@ def _cumulate_outcome(y):
             return "refused", str(exc)
 
 
-@SETTINGS
 @given(st.lists(st.one_of(finite, coarse, extremes), min_size=1, max_size=40))
 @example([1e308, 1e308, -1e308])  # inf from index 1 on: refused there
 @example([-0.0, -0.0, 5e-324, -5e-324])
@@ -327,7 +318,6 @@ def test_cumulate_matches_reference_on_raw_fixtures():
 diff_slot = st.one_of(st.none(), finite, coarse, st.sampled_from((-math.inf, math.inf)))
 
 
-@SETTINGS
 @given(st.lists(diff_slot, min_size=3, max_size=30), st.sampled_from(POLICIES))
 @example([None, -math.inf, -math.inf, -math.inf, None], GLOBAL_MAX)
 @example([None, math.inf, 1.0, math.inf, 0.0, None], LAST_LOCAL_MAX_BEFORE_DECLINE)
@@ -348,7 +338,6 @@ def test_detection_matches_reference(vals, policy):
     assert _bits(got) == _bits(want)
 
 
-@SETTINGS
 @given(levels, st.sampled_from(POLICIES))
 def test_detection_on_stencils_matches_reference(y, policy):
     ds = second_central_diff(_series(y))
@@ -382,7 +371,6 @@ STENCILS = {
 }
 
 
-@SETTINGS
 @given(
     st.sampled_from(sorted(STENCILS, key=str)),
     st.lists(st.one_of(finite, coarse), min_size=7, max_size=40),
@@ -448,7 +436,6 @@ def test_detection_ties_and_plateaus():
 positive = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
 
 
-@SETTINGS
 @given(
     st.lists(st.floats(0.1, 1e6), min_size=4, max_size=60),
     positive,
@@ -464,7 +451,6 @@ def test_logistic_residuals_match_reference(y, u_max, a, c):
     assert w[-1].tobytes() == want_res.tobytes()
 
 
-@SETTINGS
 @given(
     st.lists(st.floats(0.1, 1e6), min_size=4, max_size=60),
     st.lists(st.tuples(positive, positive, st.floats(1e-6, 5.0)), min_size=1, max_size=6),
@@ -507,7 +493,6 @@ def test_complex_exp_is_libm_exp():
     assert math.isnan(_complex_exp([math.nan])[0])
 
 
-@SETTINGS
 @given(st.floats(max_value=0.0, allow_nan=False))
 def test_complex_exp_is_libm_exp_on_any_nonpositive_float(x):
     assert _complex_exp([x])[0].hex() == math.exp(x).hex()
@@ -551,7 +536,6 @@ _LONG = generate(
 ).values
 
 
-@SETTINGS
 @given(lm_inputs())
 @example((_LONG, (1.05 * max(_LONG), 100.0, 0.004)))
 @example((_LONG, (1.5 * max(_LONG), 500.0, 0.5)))
@@ -623,7 +607,6 @@ def _ladder_starts(y):
 _CANCELLING = [1e16, 1.0, 1.0, -1e16]
 
 
-@SETTINGS
 @given(st.integers(4, 10_000), st.integers(0, 2**32 - 1))
 @example(4, None)
 def test_logit_line_sums_left_to_right(n, seed):
@@ -643,7 +626,6 @@ def test_logit_line_sums_left_to_right(n, seed):
         assert got[0] == 0.0
 
 
-@SETTINGS
 @given(st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
 def test_solve1_is_the_routine_np_linalg_solve_runs(vals):
     m = np.array(vals[:9]).reshape(3, 3) + 4.0 * np.eye(3)  # diagonally dominant
@@ -669,14 +651,12 @@ orders = st.integers(1, MAX_DERIV_ORDER)
 moderate = st.floats(-1e3, 1e3) | st.floats(-2.0, 2.0) | coarse
 
 
-@SETTINGS
 @given(orders, moderate)
 def test_eval_poly_matches_reference(n, u):
     p = build_poly(n)
     assert eval_poly(p, u).hex() == _ref_eval_factored(n, p.eulerian_row, u).hex()
 
 
-@SETTINGS
 @given(st.integers(2, MAX_DERIV_ORDER), moderate.filter(bool), moderate, moderate, moderate)
 def test_riccati_nth_derivative_matches_reference(n, r, u1, u2, u):
     if u1 == u2:
@@ -686,7 +666,6 @@ def test_riccati_nth_derivative_matches_reference(n, r, u1, u2, u):
     assert riccati_nth_derivative(params, n, u).hex() == want.hex()
 
 
-@SETTINGS
 @given(orders, positive, positive, st.floats(1e-6, 5.0), moderate)
 def test_logistic_nth_derivative_matches_reference(n, u_max, a, c, t):
     lp = LogisticParams(u_max, a, c)

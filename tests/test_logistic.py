@@ -4,7 +4,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from logistic_horizon import (
@@ -176,9 +176,6 @@ def test_nth_derivative_refuses_c_over_u_max_out_of_float_range(params, c1, n):
 wide = st.floats(1e-300, 1e300)
 
 
-# 150 examples, or more under the active profile, such as "thorough"
-# (see conftest.py)
-@settings(deadline=None, database=None, max_examples=max(150, settings.default.max_examples))
 @given(wide, wide, wide, st.integers(1, 25), st.floats(allow_nan=False, allow_infinity=False))
 def test_nth_derivative_returns_a_float_or_raises_a_package_error(u_max, a, c, n, t):
     lp = LogisticParams(u_max, a, c)

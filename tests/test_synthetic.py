@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from logistic_horizon import (
@@ -93,8 +93,6 @@ def test_generate_refuses_times_that_share_a_label(t_start, t_step, label):
         generate(spec)
 
 
-# 150 examples, or more under the active profile (see conftest.py)
-@settings(deadline=None, database=None, max_examples=max(150, settings.default.max_examples))
 @given(st.integers(-999_999, 999_999), st.integers(0, 300))
 def test_labels_keep_every_time_that_six_digits_render_exactly(digits, scale):
     # a normal float with at most 6 significant digits below 1e6 in magnitude:
