@@ -32,7 +32,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
@@ -193,22 +193,31 @@ def higher_order_estimate(
     return _division_estimate(ts, diff, n, f"higher-order-{n}", constant_mode, policy)
 
 
+@lru_cache(maxsize=1024)  # an entry is two ints and a rank
+def _design_rank(n: int, degree: int) -> int:
+    """The rank lstsq finds in fit_polynomial_lsm's design, solved once against its first column."""
+    design = np.vander(np.arange(n, dtype=float), degree + 1, increasing=True)
+    return int(np.linalg.lstsq(design, design[:, 0], rcond=None)[2])
+
+
 def fit_polynomial_lsm(ts: TimeSeries, degree: int) -> PolyFit:
     """Least-squares polynomial of the values against 0..n-1.
 
     Solved through an orthogonal decomposition (SVD-backed lstsq), not
     the raw normal equations, so the Vandermonde conditioning of longer
-    windows does not poison the coefficients.
+    windows does not poison the coefficients.  lstsq's rank cutoff reads the
+    design's singular values alone, so each length and degree's rank is
+    learnt once: a shape below full rank is refused, whatever the values.
     """
     require_int(degree, "degree", 2)
     n = len(ts)
     if n <= degree:
         raise DomainError(f"need more points than the degree: {n} points for degree {show(degree)}")
-    x = np.arange(n, dtype=float)
-    design = np.vander(x, degree + 1, increasing=True)
-    coeffs, _, rank, _ = np.linalg.lstsq(design, ts.array, rcond=None)
+    rank = _design_rank(n, degree)
     if rank < degree + 1:
         raise NumericalError(f"design matrix rank {rank} below {degree + 1}; fit is not unique")
+    design = np.vander(np.arange(n, dtype=float), degree + 1, increasing=True)
+    coeffs = np.linalg.lstsq(design, ts.array, rcond=None)[0]
     coefficients = tuple(coeffs.tolist())
     if not all(map(math.isfinite, coefficients)):
         raise NumericalError("least-squares coefficients are non-finite")

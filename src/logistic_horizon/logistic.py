@@ -49,11 +49,14 @@ class LogisticParams:
 def logistic_eval(params: LogisticParams, t: float) -> float:
     """Evaluate the curve at ``t``.
 
-    Written in the two-branch sigmoid form so neither tail can overflow:
-    for large negative ``t`` the value underflows smoothly toward 0, for
-    large positive ``t`` toward ``u_max``.
+    Written in the two-branch sigmoid form so neither tail can overflow: for
+    large negative ``t`` the value underflows smoothly toward 0, for large
+    positive ``t`` toward ``u_max``.  An int ``t`` past float range is refused.
     """
-    z = -params.c * t
+    try:
+        z = -params.c * t
+    except OverflowError:  # an int past float range
+        raise DomainError(f"t must be within float range, got {show(t)}") from None
     if z <= 0.0:
         return params.u_max / (1.0 + params.a * math.exp(z))
     w = math.exp(-z)

@@ -16,6 +16,7 @@ and any calendar bookkeeping lives in the labels.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -41,7 +42,8 @@ class TimeSeries:
     once, as the read-only float64 array `array`, each value as float()
     reads it: struct packs any container with a len() in one C pass, and
     np.fromiter reads the rest and what struct refuses (None as nan,
-    str, a value float() refuses).  `values` is built from it when read,
+    str, a value float() refuses; an int past float range is refused as
+    a DomainError).  `values` is built from it when read,
     as a new tuple of floats each time.  `labels` is the tuple of the
     labels as given, of any type; a detected point's label is str() of
     its series label.  ==, hash, repr, dataclasses.replace and pickle go
@@ -59,7 +61,13 @@ class TimeSeries:
         try:
             y = np.frombuffer(struct.Struct(f"{len(values)}d").pack(*values))
         except (TypeError, struct.error):  # no len(), None, str, ...: fromiter reads or raises as float()
-            y = np.fromiter(values, float)
+            values = list(values)
+            rest = iter(values)
+            try:
+                y = np.fromiter(rest, float)
+            except OverflowError:  # float() of an int past float range, the last value fromiter took
+                i = len(values) - operator.length_hint(rest) - 1
+                raise DomainError(f"value at index {i} is beyond float range: {show(values[i])}") from None
         if len(labels) != len(y):
             raise DomainError(f"labels and values differ in length ({len(labels)} vs {len(y)})")
         if len(y) == 0:

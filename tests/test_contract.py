@@ -1,8 +1,9 @@
 """Every public function of series, synthetic, derivpoly and logistic
 returns or refuses with a LogisticHorizonError, never another
-exception, on finite arguments out to the ends of float range, and
-the constructors LogisticParams, GenSpec and RiccatiParams also on
-ints beyond it.
+exception, on finite arguments out to the ends of float range, and on
+ints beyond it (±10**400) where it takes them: TimeSeries's values,
+the constructors LogisticParams, GenSpec and RiccatiParams, and the
+time t of logistic_eval and logistic_nth_derivative.
 
 The estimators and logistic_nth_derivative have properties of their
 own in test_estimate.py and test_logistic.py.
@@ -32,6 +33,7 @@ from logistic_horizon import (
     generate,
     level_crossing_time,
     logistic_eval,
+    logistic_nth_derivative,
     normal_icdf,
     nth_central_diff,
     poly_roots,
@@ -43,7 +45,7 @@ from logistic_horizon.series import SERIES_KINDS
 
 EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308)
 value = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES)
-# constructor arguments, with ints too large to convert to a float
+# series values, times and constructor arguments, with ints too large to convert to a float
 BEYOND = (10**400, -(10**400))
 number = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES + BEYOND)
 # curve parameters and levels: mostly valid, with 0.0 still refused
@@ -58,7 +60,8 @@ def _outcome(call, *args):
         return None
 
 
-@given(st.lists(value, max_size=12), st.sampled_from(SERIES_KINDS), st.integers(1, 8))
+@given(st.lists(number, max_size=12), st.sampled_from(SERIES_KINDS), st.integers(1, 8))
+@example([10**400, 1, 2], "raw", 1)
 def test_series_functions_return_or_refuse(values, kind, order):
     ts = _outcome(TimeSeries, map(str, range(len(values))), values, kind)
     if ts is None:
@@ -109,7 +112,9 @@ def test_derivpoly_functions_return_or_refuse(n, r, u1, u2, u):
         _outcome(riccati_nth_derivative, params, n, u)
 
 
-@given(magnitude, magnitude, magnitude, value, magnitude, st.integers(0, 30))
+@given(magnitude, magnitude, magnitude, number, magnitude, st.integers(0, 30))
+@example(1.0, 1.0, 1.0, 10**400, 0.5, 2)  # -c * t overflows converting t
+@example(1.0, 1.0, 1.0, -(10**400), 0.5, 3)
 @example(1.0, 1e-300, 1.0, 0.0, 1e-300, 2)  # a * level underflows to 0
 @example(1e10, 1e300, 1.0, 0.0, 5e9, 2)  # a * level overflows to inf
 @example(1.7e308, 5e-324, 6.017714653835298, 0.0, 1.0, 23)  # the ratio underflows at order 23's level
@@ -117,7 +122,8 @@ def test_logistic_functions_return_or_refuse(u_max, a, c, t, level, n):
     params = _outcome(LogisticParams, u_max, a, c)
     if params is None:
         return
-    assert isinstance(logistic_eval(params, t), float)
+    assert isinstance(_outcome(logistic_eval, params, t), float) or t in BEYOND
+    _outcome(logistic_nth_derivative, params, n, t)
     for crossing in (_outcome(level_crossing_time, params, level), _outcome(characteristic_time, params, n)):
         # a sum of three logarithms, each within 745 of 0, over c:
         # finite wherever c is at least 1e-300

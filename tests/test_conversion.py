@@ -6,7 +6,9 @@ what has no ``len()``, such as a generator, and what ``struct``
 refuses.  ``struct`` refuses None (read as nan, then refused as not
 finite) and str, which ``float()`` parses, and on any value ``float()``
 refuses it raises ``struct.error``, so ``np.fromiter`` reads the input
-again and raises ``float()``'s own exception type.  For every value
+again and raises ``float()``'s own exception type, save for a value
+``float()`` overflows on, such as an int past float range: that is a
+``DomainError`` that names its index and value.  For every value
 ``struct`` accepts, it reads as ``float()`` does: ``__float__``, then
 ``__index__``.
 
@@ -17,7 +19,8 @@ refuse every input that ``float()`` refuses.  Two refusals changed
 type when the per-value ``float()`` pass went: None now reads as nan
 and is refused as not finite (a ``DomainError``, was ``TypeError``),
 and a sequence in place of a value raises ``ValueError`` (was
-``TypeError``).
+``TypeError``).  An int past float range, ``OverflowError`` from
+``float()``, is now a ``DomainError`` that names its index.
 """
 
 import math
@@ -33,6 +36,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from logistic_horizon import DomainError, GenSpec, LogisticParams, TimeSeries, cumulate, generate
+from logistic_horizon.errors import show
 
 value = st.one_of(
     st.floats(),  # nan and both infinities included
@@ -59,12 +63,15 @@ CONTAINERS = {
 
 
 def expected(vals):
-    """The floats float() reads from vals, or the exception type the
-    series raises: float()'s own, except that None reads as nan."""
-    for v in vals:
+    """The floats float() reads from vals, or what the series raises:
+    float()'s own exception type, except that None reads as nan and a
+    value float() overflows on is a DomainError naming it."""
+    for i, v in enumerate(vals):
         if v is not None:
             try:
                 float(v)
+            except OverflowError:
+                return DomainError(f"value at index {i} is beyond float range: {show(v)}")
             except Exception as exc:
                 return type(exc)
     return tuple(math.nan if v is None else float(v) for v in vals)
@@ -73,7 +80,7 @@ def expected(vals):
 def reaches_fromiter(vals, container):
     """Whether np.fromiter reads vals: a container with no len(), or a
     value that struct refuses (None, str, or one float() refuses)."""
-    refused = any(v is None or isinstance(v, str) for v in vals) or isinstance(expected(vals), type)
+    refused = any(v is None or isinstance(v, str) for v in vals) or not isinstance(expected(vals), tuple)
     return container == "generator" or refused
 
 
@@ -101,6 +108,8 @@ NUMBERS = [1.5, -0.0, 5e-324, 7, -(2**63), 2**53 + 1, True, False, np.float32(0.
 @example([1.0, 2**1024], "list")
 @example([1.0, 2**1024], "ndarray")
 @example([1.0, -(2**1025)], "tuple")
+@example([10**400, 1, 2], "generator")
+@example(["1.5", None, Fraction(10**400)], "list")
 @example([1.0, Decimal("sNaN")], "tuple")
 @example(NUMBERS, "generator")
 @example([], "generator")
@@ -118,6 +127,9 @@ def test_conversion_matches_float(vals, container):
     assert fromiter.called == reaches
     if isinstance(want, type):
         assert isinstance(ts, want), ts
+        return
+    if isinstance(want, DomainError):
+        assert type(ts) is DomainError and str(ts) == str(want), ts
         return
     bad = [i for i, x in enumerate(want) if not math.isfinite(x)]
     if not want or bad:
@@ -155,6 +167,9 @@ def test_refusals_that_changed_type():
         TimeSeries(tuple("abc"), (1.0, None, 2.0), "raw")
     with pytest.raises(ValueError):
         TimeSeries(tuple("ab"), [1.0, [2.0]], "raw")
+    # float() raises OverflowError here; the series names the value
+    with pytest.raises(DomainError, match=r"^value at index 0 is beyond float range: 10{400}$"):
+        TimeSeries(tuple("abc"), [10**400, 1, 2], "raw")
 
 
 def test_long_series_array_is_float64_aligned_and_read_only():

@@ -9,6 +9,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -264,6 +265,77 @@ def test_polyfit_refuses_long_windows(degree):
                 fit_polynomial_lsm(ts, degree)
             with pytest.raises(NumericalError, match="design matrix rank"):
                 polyfit_estimate(ts, degree)
+
+
+def _seed_fit(ts, degree):
+    """fit_polynomial_lsm as it read before it learnt each shape's rank
+    once: the design built and solved on every call.  The coefficients'
+    hex, or the refusal's type and text."""
+    n = len(ts)
+    if n <= degree:
+        return DomainError, f"need more points than the degree: {n} points for degree {degree}"
+    x = np.arange(n, dtype=float)
+    design = np.vander(x, degree + 1, increasing=True)
+    coeffs, _, rank, _ = np.linalg.lstsq(design, ts.array, rcond=None)
+    if rank < degree + 1:
+        return NumericalError, f"design matrix rank {rank} below {degree + 1}; fit is not unique"
+    if not all(map(math.isfinite, coeffs.tolist())):
+        return NumericalError, "least-squares coefficients are non-finite"
+    return [c.hex() for c in coeffs.tolist()]
+
+
+def _fit(ts, degree):
+    try:
+        return [c.hex() for c in fit_polynomial_lsm(ts, degree).coefficients]
+    except LogisticHorizonError as exc:
+        return type(exc), str(exc)
+
+
+def test_polyfit_matches_the_uncached_solve_on_every_fixture_window():
+    for key, w in _fixture_windows(1):
+        for degree in (4, 6, 8):
+            assert _fit(w, degree) == _seed_fit(w, degree), (key, degree)
+
+
+EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308)
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES), max_size=60),
+    st.sampled_from((4, 6, 8)),
+)
+@example([1.0] * 52, 8)  # past degree 8's edge: refused by rank
+@example([(-1.0) ** i * 1e308 for i in range(12)], 6)  # full rank, the solution overflows
+def test_polyfit_matches_the_uncached_solve_on_drawn_windows(y, degree):
+    if not y:
+        return
+    ts = TimeSeries(range(len(y)), y, "cumulative")
+    assert _fit(ts, degree) == _seed_fit(ts, degree)
+
+
+@pytest.mark.parametrize("degree", sorted(POLYFIT_RANK_EDGE))
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1e-300, 1.0, 1e300)))
+def test_design_rank_is_the_rank_lstsq_finds_for_any_data_near_each_edge(degree, seed, scale):
+    # the rank is whatever lstsq finds, so the test holds wherever this LAPACK puts the edge
+    rng = np.random.default_rng(seed)
+    edge = POLYFIT_RANK_EDGE[degree]
+    for n in range(edge - 3, edge + 4):
+        design = np.vander(np.arange(n, dtype=float), degree + 1, increasing=True)
+        rank = np.linalg.lstsq(design, scale * rng.uniform(-1.0, 1.0, n), rcond=None)[2]
+        assert estimate_module._design_rank(n, degree) == rank
+
+
+def test_a_repeated_refusal_neither_builds_nor_solves_its_design_again():
+    ts = TimeSeries(range(10_000), np.linspace(1.0, 2.0, 10_000), "cumulative")
+    estimate_module._design_rank.cache_clear()
+    with (
+        mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq,
+        mock.patch.object(np, "vander", wraps=np.vander) as vander,
+    ):
+        for _ in range(3):
+            with pytest.raises(NumericalError, match=r"^design matrix rank 3 below 5; fit is not unique$"):
+                fit_polynomial_lsm(ts, 4)
+    assert lstsq.call_count == 1 and vander.call_count == 1
 
 
 def test_polyfit_input_checks():

@@ -173,6 +173,19 @@ def test_nth_derivative_refuses_c_over_u_max_out_of_float_range(params, c1, n):
         logistic_nth_derivative(LogisticParams(*params), n, 0.0)
 
 
+@pytest.mark.parametrize("t", [10**400, -(10**400)], ids=["plus", "minus"])
+def test_a_time_past_float_range_is_refused(t):
+    lp = LogisticParams(1.0, 1.0, 1.0)
+    message = f"^t must be within float range, got {t!r}$"
+    with pytest.raises(DomainError, match=message) as info:
+        logistic_eval(lp, t)
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+    with pytest.raises(DomainError, match=message):
+        logistic_nth_derivative(lp, 3, t)
+    # a float past the same range is kept: the curve's limits
+    assert logistic_eval(lp, math.inf if t > 0 else -math.inf) == (1.0 if t > 0 else 0.0)
+
+
 wide = st.floats(1e-300, 1e300)
 
 
